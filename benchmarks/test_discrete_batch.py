@@ -16,18 +16,14 @@ while ``scripts/check_bench.py`` tracks the recorded ratio against the
 committed baseline).
 """
 
-import json
-import pathlib
 import time
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_bench_record
 from repro.core.simulator import simulate_policy
 from repro.engine import BatchSimulator, ScenarioSet
 from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
-
-BENCH_DKIBAM_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_dkibam.json"
 
 
 @pytest.mark.benchmark(group="dkibam")
@@ -95,7 +91,7 @@ def test_dkibam_batch_throughput(benchmark, b1):
         "batch_seconds_per_sweep": round(batch_seconds, 4),
         "speedup": round(speedup, 1),
     }
-    BENCH_DKIBAM_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record("BENCH_dkibam.json", record)
     emit(
         "Extension E11 -- batch dKiBaM throughput (600 samples x 3 policies, 2 x B1)",
         f"scalar ticks: {scalar_rate:10.1f} scenario-policies/sec "

@@ -20,28 +20,15 @@ Both harnesses merge their keys into ``BENCH_fleet.json`` so either can
 run alone without clobbering the other's gated record.
 """
 
-import json
-import pathlib
 import time
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_bench_record
 from repro.engine.optimal_batch import find_optimal_schedule_batched
 from repro.kibam.parameters import B1, BatteryParameters
 from repro.workloads.generator import duty_cycled_sensor_load
 from repro.workloads.load import Epoch, Load
-
-BENCH_FLEET_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
-
-
-def update_bench_record(updates: dict) -> None:
-    """Merge keys into ``BENCH_fleet.json`` without dropping the others."""
-    record = {}
-    if BENCH_FLEET_PATH.is_file():
-        record = json.loads(BENCH_FLEET_PATH.read_text())
-    record.update(updates)
-    BENCH_FLEET_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 #: The ``fleet`` / ``fleet-8`` sweep-spec batteries (mixed B1 scales).
@@ -106,7 +93,8 @@ def test_fleet_node_throughput(benchmark):
     assert result4.nodes_expanded == MEASURE_NODES
     assert result8.nodes_expanded == MEASURE_NODES
 
-    update_bench_record(
+    write_bench_record(
+        "BENCH_fleet.json",
         {
             "experiment": "fleet-scale-optimal-search",
             "load": "DCS 500 (duty-cycled sensor)",
@@ -175,7 +163,8 @@ def test_group_symmetry_prunes_nodes_with_identical_results():
     ratio = without_total / with_total
     assert ratio > 1.0
 
-    update_bench_record(
+    write_bench_record(
+        "BENCH_fleet.json",
         {
             "symmetry_fleets": {
                 label: {"with_symmetry": with_n, "without_symmetry": without_n}

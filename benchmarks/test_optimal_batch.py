@@ -35,14 +35,12 @@ merge their keys into ``BENCH_optimal.json`` so any can run alone without
 clobbering the others' gated records.
 """
 
-import json
-import pathlib
 import time
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_bench_record
 from repro.core.optimal import find_optimal_schedule
 from repro.engine.optimal_batch import (
     find_optimal_schedule_batched,
@@ -50,22 +48,6 @@ from repro.engine.optimal_batch import (
 )
 from repro.kibam.parameters import B1
 from repro.sweep import LoadAxis, SweepRunner, SweepSpec, battery_grid
-
-BENCH_OPTIMAL_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_optimal.json"
-
-
-def update_bench_record(updates: dict) -> None:
-    """Merge keys into ``BENCH_optimal.json`` without dropping the others.
-
-    Two harnesses share the record (node throughput here, the seeded-sweep
-    node ratio below); merge-style writes keep a partial run from deleting
-    the other harness's gated keys.
-    """
-    record = {}
-    if BENCH_OPTIMAL_PATH.is_file():
-        record = json.loads(BENCH_OPTIMAL_PATH.read_text())
-    record.update(updates)
-    BENCH_OPTIMAL_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 #: Node budget for the timed searches: enough to dominate the fixed costs
 #: (incumbent simulation, replay) on both sides, small enough to keep the
@@ -130,7 +112,8 @@ def test_optimal_batch_node_throughput(benchmark, loads, b1):
 
     assert speedup >= 3.0, f"batched optimal speedup {speedup:.1f}x fell below 3x"
 
-    update_bench_record(
+    write_bench_record(
+        "BENCH_optimal.json",
         {
             "experiment": "optimal-batch-vs-scalar-search",
             "batteries": "2 x B1",
@@ -213,7 +196,8 @@ def test_seeded_sweep_prunes_nodes_with_identical_results(b1):
         f"({seeded_nodes} vs {fresh_nodes}); the bar is >= 20%"
     )
 
-    update_bench_record(
+    write_bench_record(
+        "BENCH_optimal.json",
         {
             "seeded_sweep_grid": {
                 "scales": list(SEED_GRID_SCALES),
@@ -298,7 +282,8 @@ def test_certification_floor_node_counts(b1, loads):
     )
     ratio = sum(CERT_FLOOR_BASE_NODES.values()) / sum(nodes.values())
 
-    update_bench_record(
+    write_bench_record(
+        "BENCH_optimal.json",
         {
             "certification_floor_settings": dict(CERT_FLOOR_SETTINGS),
             "certification_floor_base_nodes": dict(CERT_FLOOR_BASE_NODES),

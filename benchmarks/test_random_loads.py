@@ -7,22 +7,16 @@ sample, and reports the lifetime distributions -- the Monte-Carlo companion
 of Table 5.
 """
 
-import json
-import pathlib
 import time
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_bench_record
 from repro.analysis.montecarlo import lifetime_distribution, render_distributions
 from repro.core.simulator import simulate_policy
 from repro.engine import BatchSimulator, ScenarioSet
 from repro.kibam.parameters import B1
 from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
-
-#: Where the engine throughput record lands (repo root, next to the other
-#: reproduction artifacts) so the perf trajectory is tracked PR over PR.
-BENCH_ENGINE_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
 @pytest.mark.benchmark(group="random-loads")
@@ -130,7 +124,7 @@ def test_engine_throughput_1000_samples(benchmark, b1):
         "batch_seconds_per_sweep": round(batch_seconds, 4),
         "speedup": round(speedup, 1),
     }
-    BENCH_ENGINE_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record("BENCH_engine.json", record)
     emit(
         "Extension E9 -- batch engine throughput (1000 samples x 3 policies, 2 x B1)",
         f"scalar loop : {scalar_rate:10.1f} scenario-policies/sec "

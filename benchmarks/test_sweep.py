@@ -14,18 +14,14 @@ quiet single core; wall-clock ratios on shared runners are noisy, so the
 hard gate sits at the bar itself rather than the observed headroom).
 """
 
-import json
-import pathlib
 import time
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, write_bench_record
 from repro.kibam.parameters import B1
 from repro.sweep import BatteryConfig, LoadAxis, ResultStore, SweepRunner, SweepSpec
 from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
-
-BENCH_SWEEP_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
 
 
 @pytest.mark.benchmark(group="sweep")
@@ -74,7 +70,7 @@ def test_sweep_throughput_and_cache_speedup(benchmark, tmp_path):
         "warm_scenario_policies_per_sec": round(warm_rate, 1),
         "cache_hit_speedup": round(speedup, 1),
     }
-    BENCH_SWEEP_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record("BENCH_sweep.json", record)
     emit(
         "Extension E10 -- sweep orchestration (400 samples x 3 policies, 2 x B1)",
         f"cold run : {cold_seconds:8.3f} s  ({cold_rate:10.1f} scenario-policies/sec,"

@@ -175,11 +175,12 @@ class DominanceArchive:
        *golden reference* for the pruning semantics.  It accounts for ~86%
        of the scalar search's runtime, which is exactly why the batched
        search's :class:`repro.engine.optimal_batch.VectorDominanceArchive`
-       exists as its array-backed hot-path counterpart (pinned
-       decision-for-decision against this class in
-       ``tests/test_optimal_batch.py``), and why the ``BENCH_optimal.json``
-       node-throughput ratio depends on this class staying the transparent
-       baseline rather than being optimized itself.
+       exists as its array-backed hot-path counterpart -- it decides a whole
+       decision point's batch of candidates per call and is pinned
+       decision-for-decision against this class, row by row and batch by
+       batch, in ``tests/test_optimal_batch.py`` -- and why the
+       ``BENCH_optimal.json`` node-throughput ratio depends on this class
+       staying the transparent baseline rather than being optimized itself.
 
     Two mechanisms prune revisits of a decision point:
 

@@ -26,9 +26,11 @@ admissible lifetime bound (best-first) and processes them in batches:
   schedule) and retroactively evicts every live frontier slot whose upper
   bound it covers (free-listed immediately, heap entries invalidated
   lazily via slot stamps);
-* dominance and symmetry pruning reuse the scalar search's
-  :class:`repro.core.optimal.DominanceArchive` unchanged, so the pruning
-  semantics (and therefore soundness) are shared, not re-derived.
+* dominance and symmetry pruning take exactly the decisions of the scalar
+  search's :class:`repro.core.optimal.DominanceArchive` fed one child at a
+  time, so the pruning semantics (and therefore soundness) are shared, not
+  re-derived; :class:`VectorDominanceArchive` makes them one vectorized
+  call per decision point per expansion round.
 
 The frontier itself is stored structure-of-arrays (:class:`FrontierArrays`):
 preallocated, grow-by-doubling state/bookkeeping column pools with a
@@ -160,6 +162,25 @@ def _group_representatives(
     return representatives
 
 
+def _bitmasks(relation: np.ndarray) -> List[int]:
+    """Each row of a 2-D boolean array as an int (bit ``j`` = column ``j``)."""
+    packed = np.packbits(relation, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[start : start + width], "little")
+        for start in range(0, len(data), width)
+    ]
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """The low ``n`` bits of ``bits`` as a boolean mask (see :func:`_bitmasks`)."""
+    data = bits.to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), count=n, bitorder="little"
+    ).astype(bool)
+
+
 class VectorDominanceArchive:
     """Array-backed port of :class:`repro.core.optimal.DominanceArchive`.
 
@@ -167,10 +188,14 @@ class VectorDominanceArchive:
     archive per decision point with permutation pairing for identical
     batteries, the ``archive_limit`` cap -- but the archive is held as one
     ``(n_entries, n_batteries, n_components)`` array per decision point and
-    each admission is two vectorized comparisons instead of a Python scan.
-    The scalar search keeps the transparent reference implementation; this
-    is its hot-path counterpart (dominance checks dominate the scalar
-    search's profile), and a test pins the two to identical decisions.
+    a whole batch of candidates for one decision point is decided in one
+    :meth:`admit_many` call: three vectorized dominance matrices (archive
+    over candidates, candidates over archive, candidates over each other)
+    followed by a short pure-Python replay of the sequential order.  The
+    scalar search keeps the transparent reference implementation; this is
+    its hot-path counterpart (dominance checks dominate the scalar search's
+    profile), and tests pin the two to identical decisions, row by row and
+    batch by batch.
     """
 
     def __init__(
@@ -194,14 +219,7 @@ class VectorDominanceArchive:
         self.groups: Optional[Tuple[int, ...]] = (
             tuple(groups) if groups is not None else None
         )
-        self._group_members: Tuple[Tuple[int, ...], ...] = ()
         if self.groups is not None:
-            members: dict = {}
-            for index, group in enumerate(self.groups):
-                members.setdefault(group, []).append(index)
-            self._group_members = tuple(
-                tuple(indices) for indices in members.values() if len(indices) > 1
-            )
             self._perms = np.array(
                 group_permutations(self.groups), dtype=np.int64
             )
@@ -211,57 +229,138 @@ class VectorDominanceArchive:
             )
         else:
             self._perms = np.arange(n_batteries, dtype=np.int64)[None, :]
+        #: Signature canonicalization: each battery's group rank and the
+        #: battery slots ordered by group, or ``None`` when no two
+        #: batteries share a group (no rows are ever sorted).
+        if self.groups is not None:
+            row_groups: Sequence = self.groups
+        else:
+            row_groups = (0,) * n_batteries if symmetric else range(n_batteries)
+        self._row_groups: Optional[np.ndarray] = None
+        if len(set(row_groups)) < n_batteries:
+            ranks: dict = {}
+            self._row_groups = np.array(
+                [ranks.setdefault(group, len(ranks)) for group in row_groups]
+            )
+            self._group_slots = np.argsort(self._row_groups, kind="stable")
         self._entries: dict = {}
 
-    def _signature(self, matrix: np.ndarray):
-        quantized = np.where(np.isinf(matrix), matrix, np.round(matrix / self._scale))
-        rows = [tuple(row) for row in quantized]
-        if self.groups is not None:
-            for members in self._group_members:
-                for slot, row in zip(
-                    members, sorted(rows[index] for index in members)
-                ):
-                    rows[slot] = row
-            return tuple(rows)
-        if self.symmetric:
-            rows.sort()
-        return tuple(rows)
+    def _signatures(self, matrices: np.ndarray) -> List[bytes]:
+        """Quantized, permutation-canonical signature of each matrix.
+
+        Rows are sorted within each symmetry group (all rows, in the legacy
+        fully-symmetric mode), exactly like the scalar archive's signature;
+        the result is the matrix's raw bytes, with ``-0.0`` folded into
+        ``0.0`` so that bytes compare equal exactly when the scalar
+        archive's tuples of floats do.
+        """
+        n, n_batteries, width = matrices.shape
+        quantized = (
+            np.where(np.isinf(matrices), matrices, np.round(matrices / self._scale))
+            + 0.0
+        )
+        if self._row_groups is not None:
+            rows = quantized.reshape(n * n_batteries, width)
+            # Primary key: the matrix, then the group, then the row's
+            # components in order (lexsort reads its keys last to first).
+            order = np.lexsort(
+                [rows[:, column] for column in range(width - 1, -1, -1)]
+                + [
+                    np.tile(self._row_groups, n),
+                    np.repeat(np.arange(n), n_batteries),
+                ]
+            )
+            canonical = np.empty_like(rows)
+            canonical[
+                (np.arange(n)[:, None] * n_batteries + self._group_slots).ravel()
+            ] = rows[order]
+            quantized = canonical
+        data = quantized.tobytes()
+        size = len(data) // n
+        return [data[start : start + size] for start in range(0, len(data), size)]
+
+    def _dominance(self, better: np.ndarray, worse: np.ndarray) -> np.ndarray:
+        """``(len(better), len(worse))``: whether ``better[i]`` dominates ``worse[j]``.
+
+        ``a`` dominating ``b`` under some battery pairing is the same
+        relation whether the permutations act on ``a`` or on ``b`` (they
+        form a group), so they always act on ``worse``.  The comparison
+        runs one flattened ``(battery, component)`` column at a time over
+        ``(rows, n_perms * cols)`` arrays, which beats a single 5-D
+        broadcast with ``np.all`` over the trailing axes; permutation-major
+        columns make the final any-over-permutations a contiguous reduce.
+        """
+        n_perms = self._perms.shape[0]
+        width = better.shape[1] * better.shape[2]
+        permuted = worse[:, self._perms].swapaxes(0, 1)  # (P, cols, B, V)
+        lower = (permuted.reshape(-1, width) - self._slack).T.copy()
+        upper = better.reshape(-1, width).T.copy()  # (B * V, rows)
+        result = upper[0][:, None] >= lower[0]
+        for column in range(1, width):
+            result &= upper[column][:, None] >= lower[column]
+        return result.reshape(better.shape[0], n_perms, worse.shape[0]).any(axis=1)
+
+    def admit_many(self, key, matrices: np.ndarray) -> np.ndarray:
+        """Admit ``(n, n_batteries, n_components)`` state matrices in order.
+
+        Returns one bool per matrix, False when it was pruned -- exactly
+        the decisions of :meth:`admit` called on each row in turn (and so
+        of the scalar archive): a row is checked against the archive as
+        earlier rows of the same batch left it.
+        """
+        matrices = np.asarray(matrices, dtype=float)
+        if not len(matrices):
+            return np.zeros(0, dtype=bool)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = [
+                set(), np.empty((0,) + matrices.shape[1:])
+            ]
+        seen, archive = entry
+        signatures = self._signatures(matrices)
+        n = len(signatures)
+        n_archive = archive.shape[0]
+        # Bitmask rows, one Python int per batch row: bit ``i`` of
+        # ``archive_dominators[j]`` says archived row ``i`` dominates batch
+        # row ``j``, and so on -- the replay below is then a few integer
+        # operations per row.
+        if n_archive:
+            archive_dominators = _bitmasks(self._dominance(archive, matrices).T)
+            archive_victims = _bitmasks(self._dominance(matrices, archive))
+        else:
+            archive_dominators = archive_victims = [0] * n
+        among = self._dominance(matrices, matrices)
+        batch_dominators = _bitmasks(among.T)
+        batch_victims = _bitmasks(among)
+
+        admitted = np.zeros(n, dtype=bool)
+        everyone = (1 << n_archive) - 1
+        alive = everyone  # archived rows not evicted yet
+        kept = 0  # batch rows archived so far
+        for row, signature in enumerate(signatures):
+            if signature in seen:
+                continue
+            if alive & archive_dominators[row] or kept & batch_dominators[row]:
+                continue
+            # Drop archived entries the new state dominates, original rows
+            # and rows archived earlier in this batch alike.
+            alive &= ~archive_victims[row]
+            kept &= ~batch_victims[row]
+            if alive.bit_count() + kept.bit_count() < self.archive_limit:
+                kept |= 1 << row
+            seen.add(signature)
+            admitted[row] = True
+        if alive != everyone or kept:
+            # Survivors keep their order and kept rows follow in batch
+            # order -- the scalar archive's list order.
+            entry[1] = np.concatenate(
+                [archive[_unpack(alive, n_archive)], matrices[_unpack(kept, n)]]
+            )
+        return admitted
 
     def admit(self, key, matrix: np.ndarray) -> bool:
         """Record a ``(n_batteries, n_components)`` state matrix; False when dominated."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = [set(), None]
-        seen, archive = entry
-        signature = self._signature(matrix)
-        if signature in seen:
-            return False
-        if archive is not None and archive.shape[0]:
-            # ``a`` dominating ``b`` under any battery pairing is the same
-            # relation whether the permutations act on ``a`` or on ``b``
-            # (they form a group), so both directions compare the archive
-            # against the candidate's permutations.
-            perms = matrix[self._perms]  # (P, B, V)
-            dominated = np.all(
-                archive[:, None] >= perms[None] - self._slack, axis=(2, 3)
-            )
-            if bool(dominated.any()):
-                return False
-            dominates = np.all(
-                perms[None] >= archive[:, None] - self._slack, axis=(2, 3)
-            )
-            keep = ~dominates.any(axis=1)
-            if not keep.all():
-                archive = archive[keep]
-        if archive is None:
-            archive = matrix[None] if self.archive_limit > 0 else np.empty(
-                (0,) + matrix.shape
-            )
-        elif archive.shape[0] < self.archive_limit:
-            archive = np.concatenate([archive, matrix[None]])
-        entry[1] = archive
-        seen.add(signature)
-        return True
+        return bool(self.admit_many(key, np.asarray(matrix)[None])[0])
 
 
 # --------------------------------------------------------------------- #
@@ -474,18 +573,6 @@ class DecisionTrace:
 
 #: Row indices into the discrete backend's ``units`` column.
 _N_ROW, _M_ROW, _REC_ROW, _ACC_ROW, _RCUR_ROW, _RCT_ROW = range(6)
-
-
-class _Child:
-    """A decision-point child ready for pruning and frontier insertion."""
-
-    __slots__ = ("slot", "bound_total", "key", "matrix")
-
-    def __init__(self, slot, bound_total, key, matrix):
-        self.slot = slot  # frontier-pool slot holding the node state
-        self.bound_total = bound_total  # node time + remaining bound, minutes
-        self.key = key  # decision-point key for the dominance archive
-        self.matrix = matrix  # dominance matrix, (n_batteries, n_components)
 
 
 def _pooling_parameters(
@@ -899,12 +986,15 @@ class _AnalyticalOps:
         """Advance raw children to their next decision point and bound them.
 
         Returns ``(candidates, ready)``: candidates for children that
-        survived the load or died at a job arrival, and :class:`_Child`
-        records (bound-pruned already, states parked in pool slots) for
-        the rest.
+        survived the load or died at a job arrival, and for the rest
+        (bound-pruned already, states parked in pool slots) the columns
+        ``(slots, bound_totals, keys, matrices)`` -- pool slot, node time
+        plus remaining bound (minutes), decision-point key for the
+        dominance archive and ``(n_batteries, n_components)`` dominance
+        matrix per child -- or ``None`` when no child is left.
         """
         if children is None:
-            return [], []
+            return [], None
         S = children["state"]
         sticky = children["sticky"]
         epoch = children["epoch"]
@@ -943,7 +1033,7 @@ class _AnalyticalOps:
             pending = idle
 
         if not decided:
-            return candidates, []
+            return candidates, None
         d = np.asarray(decided, dtype=np.int64)
         margin = S[d, :, GAMMA] - (1.0 - c) * S[d, :, DELTA]
         alive = (~sticky[d]) & (margin > _EMPTY_TOLERANCE)
@@ -954,7 +1044,7 @@ class _AnalyticalOps:
             candidates.append((float(time[p]), int(trace[p])))
         live = d[any_alive]
         if live.size == 0:
-            return candidates, []
+            return candidates, None
 
         if self.bounds.pooled is not None:
             live_alive = alive[any_alive]
@@ -980,7 +1070,7 @@ class _AnalyticalOps:
 
         keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
         if keep.size == 0:
-            return candidates, []
+            return candidates, None
         kept = live[keep]
         matrices = self._matrices(S[kept], sticky[kept])
         pool = self.pool
@@ -991,16 +1081,11 @@ class _AnalyticalOps:
         pool.offset[slots] = offset[kept]
         pool.time[slots] = time[kept]
         pool.trace[slots] = trace[kept]
-        ready = [
-            _Child(
-                int(slots[row]),
-                float(totals[keep[row]]),
-                (int(epoch[p]), round(float(offset[p]), 9)),
-                matrices[row],
-            )
-            for row, p in enumerate(kept)
+        keys = [
+            (point, round(at, 9))
+            for point, at in zip(epoch[kept].tolist(), offset[kept].tolist())
         ]
-        return candidates, ready
+        return candidates, (slots, totals[keep], keys, matrices)
 
     def _matrices(self, states: np.ndarray, sticky: np.ndarray) -> np.ndarray:
         """The scalar search's dominance matrices, one ``(B, 3)`` per node."""
@@ -1303,7 +1388,7 @@ class _DiscreteOps:
     # -- decision-point preparation ------------------------------------- #
     def prepare(self, children, best_lifetime: float):
         if children is None:
-            return [], []
+            return [], None
         U = children["units"]
         empty = children["empty"]
         epoch = children["epoch"]
@@ -1359,7 +1444,7 @@ class _DiscreteOps:
             pending = idle
 
         if not decided:
-            return candidates, []
+            return candidates, None
         d = np.asarray(decided, dtype=np.int64)
         alive = self._alive(U[d], empty[d])
         any_alive = alive.any(axis=1)
@@ -1369,7 +1454,7 @@ class _DiscreteOps:
             )
         live = d[any_alive]
         if live.size == 0:
-            return candidates, []
+            return candidates, None
 
         offset_min = offset[live] * self.time_step
         if self.bounds.pooled is not None:
@@ -1398,7 +1483,7 @@ class _DiscreteOps:
 
         keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
         if keep.size == 0:
-            return candidates, []
+            return candidates, None
         kept = live[keep]
         matrices = self._matrices(U[kept], empty[kept])
         pool = self.pool
@@ -1409,16 +1494,8 @@ class _DiscreteOps:
         pool.offset[slots] = offset[kept]
         pool.time[slots] = time[kept]
         pool.trace[slots] = trace[kept]
-        ready = [
-            _Child(
-                int(slots[row]),
-                float(totals[keep[row]]),
-                (int(epoch[p]), int(offset[p])),
-                matrices[row],
-            )
-            for row, p in enumerate(kept)
-        ]
-        return candidates, ready
+        keys = list(zip(epoch[kept].tolist(), offset[kept].tolist()))
+        return candidates, (slots, totals[keep], keys, matrices)
 
     def _matrices(self, units: np.ndarray, empty: np.ndarray) -> np.ndarray:
         """The scalar search's dominance matrices, one ``(B, 5)`` per node."""
@@ -1777,25 +1854,29 @@ class BatchOptimalScheduler:
                 stamps = grown
             return int(stamps[slot])
 
-        def admit(children) -> None:
-            for child in children:
-                if child.bound_total <= self._best_lifetime + _TIME_EPSILON:
-                    pool.release(child.slot)
-                    continue
-                if self.use_dominance and not self._archive.admit(
-                    child.key, child.matrix
-                ):
-                    pool.release(child.slot)
-                    continue
+        def admit(ready) -> None:
+            """Bound-cut, then dominance-prune one archive call per key.
+
+            Pruned slots are released and survivors pushed in child order,
+            so heap tie-break counters and slot re-use match admitting the
+            children one at a time.
+            """
+            if ready is None:
+                return
+            slots, totals, keys, matrices = ready
+            accepted = totals > self._best_lifetime + _TIME_EPSILON
+            if self.use_dominance:
+                by_key: dict = {}
+                for row in np.flatnonzero(accepted).tolist():
+                    by_key.setdefault(keys[row], []).append(row)
+                for key, rows in by_key.items():
+                    accepted[rows] = self._archive.admit_many(key, matrices[rows])
+            pool.release(slots[~accepted])
+            for slot, total in zip(
+                slots[accepted].tolist(), totals[accepted].tolist()
+            ):
                 heapq.heappush(
-                    heap,
-                    (
-                        -child.bound_total,
-                        next(counter),
-                        child.bound_total,
-                        child.slot,
-                        slot_stamp(child.slot),
-                    ),
+                    heap, (-total, next(counter), total, slot, slot_stamp(slot))
                 )
 
         def evict_frontier() -> None:

@@ -304,6 +304,11 @@ def _load_automaton(arrays: LoadArrays) -> Automaton:
     def invariant_running(variables, clocks) -> bool:
         return clocks["t"] <= epoch_end(variables)
 
+    def invariant_exhausted(variables, clocks) -> bool:
+        # Time stops at the end of the load: a network whose batteries
+        # outlive the load deadlocks there instead of idling forever.
+        return clocks["t"] <= load_time[-1]
+
     def advance_epoch(variables) -> None:
         variables["j"] += 1
         variables["job_active"] = 0
@@ -317,7 +322,7 @@ def _load_automaton(arrays: LoadArrays) -> Automaton:
             Location(name="start", committed=True),
             Location(name="load_on", invariant=invariant_running),
             Location(name="dispatch", committed=True),
-            Location(name="exhausted"),
+            Location(name="exhausted", invariant=invariant_exhausted),
             Location(name="off"),
         ),
         initial_location="start",

@@ -347,6 +347,61 @@ class TestDominanceAblation:
         )
 
 
+class TestBatchedAdmission:
+    """The search's per-key ``admit_many`` calls decide exactly like the
+    scalar reference archive fed one child at a time."""
+
+    @staticmethod
+    def _one_at_a_time(tolerance):
+        def admit_many(self, key, matrices):
+            scalar = self.__dict__.setdefault(
+                "_scalar",
+                DominanceArchive(
+                    symmetric=self.symmetric,
+                    dominance_tolerance=tolerance,
+                    archive_limit=self.archive_limit,
+                    groups=self.groups,
+                ),
+            )
+            return np.array(
+                [scalar.admit(key, tuple(map(tuple, matrix))) for matrix in matrices],
+                dtype=bool,
+            )
+
+        return admit_many
+
+    @pytest.mark.parametrize(
+        "load_name, model, tolerance",
+        [
+            ("ILs 250", "analytical", 0.005),
+            ("CL 250", "analytical", 0.005),
+            ("CL 250", "discrete", 0.0),
+        ],
+    )
+    def test_search_matches_one_child_at_a_time(
+        self, all_loads, monkeypatch, load_name, model, tolerance
+    ):
+        def run():
+            result = find_optimal_schedule_batched(
+                [B1, B1],
+                all_loads[load_name],
+                model=model,
+                dominance_tolerance=tolerance,
+            )
+            return (
+                result.lifetime,
+                result.assignment,
+                result.nodes_expanded,
+                result.complete,
+            )
+
+        batched = run()
+        monkeypatch.setattr(
+            VectorDominanceArchive, "admit_many", self._one_at_a_time(tolerance)
+        )
+        assert run() == batched
+
+
 class TestSearchControls:
     def test_max_nodes_marks_the_result_incomplete(self, all_loads):
         load = all_loads["ILs alt"]
@@ -668,6 +723,147 @@ class TestVectorDominanceArchive:
             assert vector.admit("k", matrix)
         stored = vector._entries["k"][1]
         assert stored.shape[0] == 2
+
+    @staticmethod
+    def _batches(rng, matrices, n_keys=4, max_batch=12):
+        """Split a matrix stream into random-size single-key batches.
+
+        Some batches get an exact copy of one of their rows (a duplicate
+        signature inside the batch) or a strictly better / worse copy (one
+        child of the batch dominating another).
+        """
+        batches = []
+        start = 0
+        while start < len(matrices):
+            size = int(rng.integers(1, max_batch + 1))
+            batch = list(matrices[start : start + size])
+            start += size
+            twist = rng.integers(4)
+            if twist:
+                source = batch[int(rng.integers(len(batch)))]
+                copy = source + (0.0, 1.0, -1.0)[twist - 1]
+                batch.insert(int(rng.integers(len(batch) + 1)), copy)
+            batches.append((int(rng.integers(n_keys)), np.array(batch)))
+        return batches
+
+    @pytest.mark.parametrize(
+        "n_batteries, groups",
+        [
+            (1, None),
+            (1, (0,)),
+            (2, None),
+            (2, (0, 0)),
+            (2, (0, 1)),
+            (3, (0, 0, 0)),
+            (3, (0, 0, 1)),
+            (3, (0, 1, 1)),
+            (3, (0, 1, 0)),
+            (3, (0, 1, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("tolerance", [0.0, 0.25])
+    @pytest.mark.parametrize("archive_limit", [0, 1, 2, 8, 64])
+    def test_batched_decisions_match_the_scalar_archive(
+        self, n_batteries, groups, tolerance, archive_limit
+    ):
+        """``admit_many`` over random key batches takes the scalar archive's
+        row-by-row decisions, at every group shape and archive depth."""
+        for symmetric in ([True, False] if groups is None else [False]):
+            rng = np.random.default_rng(23 + archive_limit)
+            scalar = DominanceArchive(
+                symmetric=symmetric,
+                dominance_tolerance=tolerance,
+                archive_limit=archive_limit,
+                groups=groups,
+            )
+            vector = VectorDominanceArchive(
+                symmetric=symmetric,
+                n_batteries=n_batteries,
+                dominance_tolerance=tolerance,
+                archive_limit=archive_limit,
+                groups=groups,
+            )
+            matrices = self._random_matrices(rng, 300, n_batteries=n_batteries)
+            for key, batch in self._batches(rng, matrices):
+                expected = [
+                    scalar.admit((key,), tuple(tuple(row) for row in matrix))
+                    for matrix in batch
+                ]
+                got = vector.admit_many((key,), batch)
+                assert got.dtype == bool
+                assert got.tolist() == expected
+
+    def test_batch_rows_dedupe_and_dominate_each_other(self):
+        vector = VectorDominanceArchive(
+            symmetric=False, n_batteries=1, archive_limit=8
+        )
+        low = np.array([[1.0, 2.0, -3.0]])
+        high = low + 1.0
+        # A duplicate of an earlier batch row is rejected by its signature,
+        # a row dominated by an earlier batch row by the dominance check.
+        assert vector.admit_many("k", np.stack([low, low, high, low])).tolist() == [
+            True, False, True, False
+        ]
+        # ``high`` evicted ``low`` from the archive inside the same batch.
+        np.testing.assert_array_equal(vector._entries["k"][1], high[None])
+        assert vector.admit_many("j", np.stack([high, low])).tolist() == [True, False]
+        assert vector.admit_many("k", np.empty((0, 1, 3))).tolist() == []
+
+    @pytest.mark.parametrize(
+        "symmetric, groups, first, second",
+        [
+            # Components that quantize to -0 and +0.
+            (False, None, [[1.0, 0.1, -0.1]], [[1.0, -0.1, 0.1]]),
+            # Rows of identical batteries swapped, in group and legacy mode.
+            (False, (0, 1, 0), [[1, 2, 3], [4, 5, 6], [1, 0, 9]],
+             [[1, 0, 9], [4, 5, 6], [1, 2, 3]]),
+            (True, None, [[1, 2, 3], [1, 0, 9]], [[1, 0, 9], [1, 2, 3]]),
+        ],
+    )
+    def test_equivalent_matrices_share_a_signature(
+        self, symmetric, groups, first, second
+    ):
+        """No archive rows (``archive_limit=0``), so only the signature can
+        prune the second matrix -- exactly as in the scalar archive."""
+        first, second = np.array(first, dtype=float), np.array(second, dtype=float)
+        scalar = DominanceArchive(
+            symmetric=symmetric,
+            dominance_tolerance=0.25,
+            archive_limit=0,
+            groups=groups,
+        )
+        vector = VectorDominanceArchive(
+            symmetric=symmetric,
+            n_batteries=first.shape[0],
+            dominance_tolerance=0.25,
+            archive_limit=0,
+            groups=groups,
+        )
+        expected = [
+            scalar.admit("key", tuple(map(tuple, matrix)))
+            for matrix in (first, second)
+        ]
+        assert expected == [True, False]
+        assert vector.admit_many("key", np.stack([first, second])).tolist() == expected
+
+    def test_rows_evicted_inside_a_batch_stop_pruning(self):
+        """With a tolerance dominance is not transitive: ``k`` evicts the
+        archived ``a`` and ``a`` would have pruned ``j``, yet ``k`` does not
+        prune ``j``, so ``j`` is admitted -- as by the scalar archive.  ``b``
+        stays archived and dominates nothing."""
+        a, b, k, j = np.array(
+            [[[0.0, 0.0]], [[-5.0, 5.0]], [[-0.25, 1.0]], [[0.25, 0.0]]]
+        )
+        scalar = DominanceArchive(symmetric=False, dominance_tolerance=0.25)
+        vector = VectorDominanceArchive(
+            symmetric=False, n_batteries=1, dominance_tolerance=0.25
+        )
+        expected = [
+            scalar.admit("key", tuple(map(tuple, matrix))) for matrix in (a, b, k, j)
+        ]
+        assert expected == [True, True, True, True]
+        assert vector.admit_many("key", np.stack([a, b])).tolist() == [True, True]
+        assert vector.admit_many("key", np.stack([k, j])).tolist() == [True, True]
 
 
 class TestDiscreteSegmentKernel:

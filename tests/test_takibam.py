@@ -109,7 +109,7 @@ class TestSingleBatteryValidation:
 
     def test_too_short_load_is_reported(self, b1):
         light = Load(name="short", epochs=(Epoch(current=0.25, duration=1.0),))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="load is too short"):
             takibam_single_battery_lifetime(b1, light)
 
 
