@@ -9,7 +9,8 @@ experiment runner behind EXPERIMENTS.md.
 The throughput harnesses also keep ``BENCH_*.json`` records at the
 repository root (gated by ``scripts/check_bench.py``).  They rewrite them
 only when ``REPRO_BENCH_RECORD=1`` is set, so a plain test run leaves the
-working tree clean.
+working tree clean.  Every written record carries a ``meta`` block naming
+the git revision and the Python and NumPy versions that measured it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
+import subprocess
 
+import numpy as np
 import pytest
 
 from repro.kibam.parameters import B1, B2
@@ -51,16 +55,39 @@ RECORD_ENV = "REPRO_BENCH_RECORD"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def bench_meta() -> dict:
+    """Where a record was measured: git revision, Python and NumPy versions.
+
+    The revision is ``None`` outside a git checkout (or without ``git``).
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=pathlib.Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def write_bench_record(name: str, updates: dict) -> None:
     """Merge ``updates`` into the root-level record ``name`` when opted in.
 
     Writes only when ``REPRO_BENCH_RECORD=1``.  Merging keeps the keys of
     other harnesses that share the record, so a partial run never deletes
-    a gated key.
+    a gated key; the ``meta`` block is restamped on every write.
     """
     if os.environ.get(RECORD_ENV) != "1":
         return
     path = REPO_ROOT / name
     record = json.loads(path.read_text()) if path.is_file() else {}
     record.update(updates)
+    record["meta"] = bench_meta()
     path.write_text(json.dumps(record, indent=2) + "\n")

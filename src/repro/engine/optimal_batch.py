@@ -4,28 +4,40 @@
 :class:`repro.core.optimal.OptimalScheduler`.  The scalar search walks one
 decision node at a time, advancing each battery through Python calls; this
 search keeps a *frontier* of unexpanded decision nodes ordered by their
-admissible lifetime bound (best-first) and processes them in batches:
+admissible lifetime bound (best-first) and processes them in batches.
 
-* the deterministic between-decision battery advances -- serving the chosen
-  battery up to its empty crossing, idling the others, skipping idle epochs
-  -- run as ``(n_nodes, n_batteries, 2)`` NumPy kernels
-  (:mod:`repro.engine.kernels`) for the analytical model, and as the exact
-  integer event-jumping dKiBaM (:func:`discrete_segment_array`, the
-  lane-parallel form of :meth:`repro.kibam.discrete.DiscreteKibam.
-  run_segment`) for the discrete model;
-* the admissible remaining-lifetime upper bound (the perfect-pooling bound
-  of the scalar search refined by the recovery-limited bound of
-  :mod:`repro.kibam.bounds`, or the total-charge fallback for batteries
-  that do not share ``c``/``k'``) is evaluated for a whole frontier batch
-  in one vectorized epoch walk, memoized on the same quantized keys as the
-  scalar search;
-* the search also carries a cheap per-node *lower* bound -- the lifetime
-  of the node's state under the fixed greedy completion, rolled out on the
-  same batch kernels -- probed periodically on popped batches; an
-  improving lower bound raises the incumbent (it is an achievable
-  schedule) and retroactively evicts every live frontier slot whose upper
-  bound it covers (free-listed immediately, heap entries invalidated
-  lazily via slot stamps);
+The search is split in two halves:
+
+* a **battery model** holds only what differs between the models:
+  :class:`_AnalyticalModel` (float ``(gamma, delta)`` states on the
+  :mod:`repro.engine.kernels` closed forms, times in minutes) and
+  :class:`_DiscreteModel` (the exact integer event-jumping dKiBaM of
+  :func:`discrete_segment_array`, the lane-parallel form of
+  :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`, times in ticks).
+  Each supplies the root state, the alive mask, the available charge the
+  branch ordering sorts on, the *serve* step (one battery per node up to
+  its empty point, the others idling), the *idle* step, the admissible
+  remaining-lifetime bound and the dominance matrices;
+* one **driver**, :class:`_SearchDriver`, writes node expansion
+  (``branch``), decision-point preparation (``prepare``: idle epochs,
+  bound, bound prune) and the greedy lower-bound probe
+  (``greedy_lifetimes``) once, on a shared serve step and a shared idle
+  step -- so the probe follows exactly the search's rules, down to ending
+  a rollout the instant its last battery empties.
+
+Around them:
+
+* the remaining-lifetime bound (the perfect-pooling bound of the scalar
+  search, refined by the recovery-limited bound of
+  :mod:`repro.kibam.bounds` for the analytical model, or the total-charge
+  fallback for batteries that do not share ``c``/``k'``) is evaluated for
+  a whole frontier batch in one vectorized epoch walk and memoized on the
+  scalar search's quantized keys (:class:`_BoundEvaluator`);
+* the greedy probe runs periodically on popped batches; an improving
+  lower bound raises the incumbent (it is an achievable schedule) and
+  retroactively evicts every live frontier slot whose upper bound it
+  covers (free-listed immediately, heap entries invalidated lazily via
+  slot stamps);
 * dominance and symmetry pruning take exactly the decisions of the scalar
   search's :class:`repro.core.optimal.DominanceArchive` fed one child at a
   time, so the pruning semantics (and therefore soundness) are shared, not
@@ -33,13 +45,11 @@ admissible lifetime bound (best-first) and processes them in batches:
   call per decision point per expansion round.
 
 The frontier itself is stored structure-of-arrays (:class:`FrontierArrays`):
-preallocated, grow-by-doubling state/bookkeeping column pools with a
-free-list of recycled rows, plus an append-only :class:`DecisionTrace`
-encoding each node's assignment as ``(parent, choice)`` integers.  The heap
-orders integer *slots*, expansion gathers and scatters index slices of the
-column arrays, and no per-node Python state objects or per-child assignment
-tuples are built -- the former re-copying hot spot of the per-round node
-stacking.
+preallocated, grow-by-doubling column pools with a free-list of recycled
+rows, plus an append-only :class:`DecisionTrace` encoding each node's
+assignment as ``(parent, choice)`` integers.  The heap orders integer
+*slots*, and expansion gathers and scatters index slices of the column
+arrays; no per-node Python state objects or assignment tuples are built.
 
 Searches can also be *seeded* with a neighboring problem's winning
 assignment (``seed_assignment``): the seed is replayed on the search's own
@@ -73,7 +83,6 @@ import numpy as np
 from repro.core.battery import make_battery_models
 from repro.core.optimal import (
     _BOUND_CACHE_LIMIT,
-    DominanceArchive,
     OptimalScheduleResult,
     OptimalScheduler,
     discrete_bound_slack_for,
@@ -88,8 +97,12 @@ from repro.engine.kernels import (
     DISCRETE_UNREACHABLE,
     GAMMA,
     KernelParams,
+    available_charge_array,
+    empty_margin_array,
+    initial_state_array,
     step_constant_current_array,
     time_to_empty_array,
+    total_charge_array,
 )
 from repro.kibam.bounds import build_pooled_job_table, recovery_limited_refinements
 from repro.kibam.discrete import discharge_spec_for, duration_ticks
@@ -124,22 +137,6 @@ BATCH_OPTIMAL_MODELS = ("analytical", "discrete")
 _DOMINANCE_EPSILON = 1e-9
 
 _BIG = DISCRETE_UNREACHABLE
-
-
-def _resolve_groups(
-    groups: Optional[Sequence[int]], symmetric: bool, n_batteries: int
-) -> Tuple[int, ...]:
-    """Per-battery symmetry groups with the legacy-flag fallback.
-
-    When no explicit groups are given the all-or-nothing ``symmetric``
-    flag is honored: one shared group for identical batteries, singleton
-    groups otherwise.
-    """
-    if groups is not None:
-        return tuple(groups)
-    if symmetric:
-        return (0,) * n_batteries
-    return tuple(range(n_batteries))
 
 
 def _group_representatives(
@@ -571,10 +568,6 @@ class DecisionTrace:
         return tuple(reversed(choices))
 
 
-#: Row indices into the discrete backend's ``units`` column.
-_N_ROW, _M_ROW, _REC_ROW, _ACC_ROW, _RCUR_ROW, _RCT_ROW = range(6)
-
-
 def _pooling_parameters(
     params: Sequence[BatteryParameters],
 ) -> Optional[Tuple[float, float, float]]:
@@ -827,47 +820,286 @@ class _BoundEvaluator:
 
 
 # --------------------------------------------------------------------- #
-# analytical backend ops
+# battery models: the per-model half of the search
 # --------------------------------------------------------------------- #
-class _AnalyticalOps:
-    """Vectorized node advances and bounds for the analytical KiBaM.
+class _BatteryModel:
+    """What the search needs to know about one battery model.
 
-    Frontier nodes live in a :class:`FrontierArrays` pool (one float state
-    column plus scalar bookkeeping columns) and are addressed by slot;
-    children in flight between :meth:`branch` and :meth:`prepare` travel as
-    flat column dicts and only claim a pool slot once they survive the
-    bound prune.
+    A node's batteries are one ``state`` row of shape ``state_shape`` each,
+    plus a sticky ``empty`` flag per battery; its place in the load is an
+    ``(epoch, offset, time)`` triple whose offset and time count
+    ``time_unit`` minutes in ``time_dtype``.  Subclasses supply
+
+    * ``epoch_length`` / ``is_job`` -- per-epoch span and job flag;
+    * :meth:`root_state`, :meth:`alive` and :meth:`available` -- the full
+      root, the alive mask and the available charge the branch ordering
+      sorts on;
+    * :meth:`serve` and :meth:`idle` -- the two battery advances;
+    * :meth:`remaining_bounds` and :meth:`matrices` -- the admissible
+      remaining-lifetime bound and the dominance matrices;
+
+    and :class:`_SearchDriver` runs the search on them, once for both.
     """
 
-    model = "analytical"
+    def __init__(
+        self, params: Sequence[BatteryParameters], load: Load, bound_slack: float
+    ) -> None:
+        self.n_batteries = len(params)
+        epochs = load.epochs
+        self.currents = np.array([e.current for e in epochs], dtype=np.float64)
+        self.durations = np.array([e.duration for e in epochs], dtype=np.float64)
+        self.bounds = _BoundEvaluator(
+            params, self.currents, self.durations, bound_slack=bound_slack
+        )
+
+
+class _AnalyticalModel(_BatteryModel):
+    """The analytical KiBaM: ``(gamma, delta)`` float states, in minutes."""
+
+    state_dtype = np.float64
+    time_dtype = np.float64
+    time_unit = 1.0
+
+    def __init__(self, params: Sequence[BatteryParameters], load: Load) -> None:
+        super().__init__(params, load, bound_slack=0.0)
+        self.kp = KernelParams.from_parameters(params)
+        self.state_shape = (self.n_batteries, 2)
+        self.epoch_length = self.durations
+        self.is_job = self.currents > 0.0
+
+    def root_state(self) -> np.ndarray:
+        return initial_state_array(self.kp, 1)
+
+    def alive(self, state: np.ndarray, empty: np.ndarray) -> np.ndarray:
+        return ~empty & (empty_margin_array(self.kp, state) > _EMPTY_TOLERANCE)
+
+    def available(self, state: np.ndarray) -> np.ndarray:
+        return available_charge_array(self.kp, state)
+
+    def serve(self, state, empty, choice, epoch, remaining):
+        """Serve ``choice[i]`` on row ``i`` up to its empty crossing.
+
+        The other batteries idle for the same span (empty ones stay
+        frozen).  Returns ``(state, span, emptied)``.
+        """
+        rows = np.arange(choice.shape[0])
+        current = self.currents[epoch]
+        crossing, crossed = time_to_empty_array(
+            self.kp.c[choice],
+            self.kp.k_prime[choice],
+            state[rows, choice, GAMMA],
+            state[rows, choice, DELTA],
+            current,
+            remaining,
+        )
+        span = np.where(crossed, crossing, remaining)
+        battery_currents = np.zeros(empty.shape)
+        battery_currents[rows, choice] = current
+        new = step_constant_current_array(
+            self.kp, state, battery_currents, span[:, None]
+        )
+        return np.where(empty[:, :, None], state, new), span, crossed
+
+    def idle(self, state, empty, span):
+        """Every non-empty battery recovers for ``span[i]`` minutes."""
+        new = step_constant_current_array(
+            self.kp, state, np.zeros(empty.shape), span[:, None]
+        )
+        return np.where(empty[:, :, None], state, new)
+
+    def remaining_bounds(self, state, alive, epoch, offset):
+        """Remaining-lifetime bound in minutes per node.
+
+        The pooling bound refined by the recovery-limited bound, or the
+        total-charge bound when the batteries do not pool.
+        """
+        if self.bounds.pooled is None:
+            total = np.where(alive, total_charge_array(state), 0.0).sum(axis=1)
+            return self.bounds.total_charge_bounds(total, epoch, offset)
+        gamma = np.where(alive, state[:, :, GAMMA], 0.0).sum(axis=1)
+        delta = np.where(alive, state[:, :, DELTA], 0.0).sum(axis=1)
+        pooled = self.bounds.pooled_bounds(gamma, delta, epoch, offset)
+        y1 = self.kp.c * empty_margin_array(self.kp, state)
+        return self.bounds.recovery_limited_bounds(
+            pooled, gamma, delta, epoch, offset, y1, state[:, :, GAMMA] - y1, alive
+        )
+
+    def matrices(self, state: np.ndarray, empty: np.ndarray) -> np.ndarray:
+        """The scalar search's dominance matrices, one ``(B, 3)`` per node."""
+        mat = np.empty(state.shape[:2] + (3,))
+        mat[:, :, 0] = 1.0
+        mat[:, :, 1] = state[:, :, GAMMA]
+        mat[:, :, 2] = -state[:, :, DELTA]
+        return np.where(empty[:, :, None], np.array([0.0, -np.inf, -np.inf]), mat)
+
+
+#: Components of a dKiBaM battery's state row: charge units, height units,
+#: recovery tick counter, draw accumulator and the accumulator's rate.
+_N, _M, _REC, _ACC, _RCUR, _RCT = range(6)
+
+
+class _DiscreteModel(_BatteryModel):
+    """The dKiBaM: integer unit and tick counters, in ticks of ``time_step``."""
+
+    state_dtype = np.int64
+    time_dtype = np.int64
 
     def __init__(
         self,
         params: Sequence[BatteryParameters],
         load: Load,
-        symmetric: bool,
-        groups: Optional[Sequence[int]] = None,
+        time_step: float,
+        charge_unit: float,
     ) -> None:
-        self.params = tuple(params)
-        self.kp = KernelParams.from_parameters(params)
-        self.n_batteries = len(params)
-        self.symmetric = symmetric
-        self.groups = _resolve_groups(groups, symmetric, self.n_batteries)
-        epochs = load.epochs
-        self.currents = np.array([e.current for e in epochs], dtype=np.float64)
-        self.durations = np.array([e.duration for e in epochs], dtype=np.float64)
-        self.is_job = self.currents > 0.0
-        self.n_epochs = len(epochs)
-        self.bounds = _BoundEvaluator(
-            params, self.currents, self.durations, bound_slack=0.0
+        # The analytical pooling bound gets the scalar search's
+        # discretization-aware safety margin when pruning dKiBaM searches.
+        super().__init__(
+            params,
+            load,
+            bound_slack=discrete_bound_slack_for(time_step, charge_unit),
         )
+        self.time_unit = time_step
+        self.charge_unit = charge_unit
+        self.dp = KernelParams.from_parameters(params).discretize(
+            time_step, charge_unit
+        )
+        self.state_shape = (self.n_batteries, 6)
+        specs = [
+            discharge_spec_for(e.current, time_step, charge_unit)
+            if e.current > 0.0
+            else None
+            for e in load.epochs
+        ]
+        self.cur = np.array([s.cur if s else 0 for s in specs], dtype=np.int64)
+        self.cur_times = np.array(
+            [s.cur_times if s else 1 for s in specs], dtype=np.int64
+        )
+        self.epoch_length = np.array(
+            [duration_ticks(e.duration, time_step) for e in load.epochs],
+            dtype=np.int64,
+        )
+        self.is_job = self.cur > 0
+
+    def root_state(self) -> np.ndarray:
+        state = np.zeros((1,) + self.state_shape, dtype=np.int64)
+        state[:, :, _N] = self.dp.total_units
+        state[:, :, _RCT] = 1
+        return state
+
+    def alive(self, state: np.ndarray, empty: np.ndarray) -> np.ndarray:
+        cp = self.dp.c_permille
+        return ~empty & ((1000 - cp) * state[..., _M] < cp * state[..., _N])
+
+    def available(self, state: np.ndarray) -> np.ndarray:
+        c = self.dp.c
+        gamma = state[..., _N] * self.charge_unit
+        delta = state[..., _M] * self.dp.height_unit
+        return np.maximum(0.0, c * (gamma - (1.0 - c) * delta))
+
+    def _segment(self, lanes, battery, cur, cur_times, ticks):
+        """:func:`discrete_segment_array` on ``(L, 6)`` state rows of ``battery``."""
+        *advanced, empty_tick = discrete_segment_array(
+            self.dp.tables,
+            self.dp.table_id[battery],
+            self.dp.c_permille[battery],
+            *lanes.T,
+            cur,
+            cur_times,
+            ticks,
+        )
+        return np.stack(advanced, axis=1), empty_tick
+
+    def serve(self, state, empty, choice, epoch, remaining):
+        """Exact-tick twin of :meth:`_AnalyticalModel.serve`."""
+        rows = np.arange(choice.shape[0])
+        lanes, empty_tick = self._segment(
+            state[rows, choice],
+            choice,
+            self.cur[epoch],
+            self.cur_times[epoch],
+            remaining,
+        )
+        emptied = empty_tick >= 0
+        span = np.where(emptied, empty_tick, remaining)
+        served = state.copy()
+        served[rows, choice] = lanes
+        others_frozen = empty.copy()
+        others_frozen[rows, choice] = True
+        return self.idle(served, others_frozen, span), span, emptied
+
+    def idle(self, state, empty, span):
+        """Every non-empty battery recovers for ``span[i]`` ticks."""
+        node, battery = np.nonzero(~empty)
+        out = state.copy()
+        if node.size:
+            out[node, battery], _ = self._segment(
+                state[node, battery],
+                battery,
+                np.zeros(node.size, dtype=np.int64),
+                np.ones(node.size, dtype=np.int64),
+                span[node],
+            )
+        return out
+
+    def remaining_bounds(self, state, alive, epoch, offset):
+        """Slack-inflated pooling (or total-charge) bound in minutes per node.
+
+        No recovery-limited refinement here: the chain-feasibility argument
+        holds for the continuous dynamics only, and dKiBaM tick rounding can
+        keep a marginal burst alive that the continuous threshold rules out
+        (see ``OptimalScheduler._recovery_limited_bound``).
+        """
+        gamma = np.where(alive, state[:, :, _N] * self.charge_unit, 0.0).sum(axis=1)
+        if self.bounds.pooled is None:
+            return self.bounds.total_charge_bounds(gamma, epoch, offset)
+        delta = np.where(alive, state[:, :, _M] * self.dp.height_unit, 0.0).sum(
+            axis=1
+        )
+        return self.bounds.pooled_bounds(gamma, delta, epoch, offset)
+
+    def matrices(self, state: np.ndarray, empty: np.ndarray) -> np.ndarray:
+        """The scalar search's dominance matrices, one ``(B, 5)`` per node."""
+        mat = np.empty(state.shape[:2] + (5,))
+        mat[:, :, 0] = 1.0
+        mat[:, :, 1] = state[:, :, _N]
+        mat[:, :, 2] = -state[:, :, _M]
+        mat[:, :, 3] = -state[:, :, _ACC]
+        mat[:, :, 4] = state[:, :, _REC]
+        empty_row = np.array([0.0] + [-np.inf] * 4)
+        return np.where(empty[:, :, None], empty_row, mat)
+
+
+# --------------------------------------------------------------------- #
+# the model-independent search driver
+# --------------------------------------------------------------------- #
+#: Node columns: the model's battery states, their sticky empty flags, the
+#: decision point ``(epoch, offset)``, the elapsed time and the trace id.
+_COLUMNS = ("state", "empty", "epoch", "offset", "time", "trace")
+
+
+class _SearchDriver:
+    """Node expansion, decision-point preparation and the greedy probe.
+
+    Frontier nodes live in a :class:`FrontierArrays` pool and are addressed
+    by slot; children in flight between :meth:`branch` and :meth:`prepare`
+    travel as column dicts (keys :data:`_COLUMNS`) and only claim a pool
+    slot once they survive the bound prune.  All three methods advance
+    nodes through two shared steps, :meth:`_serve` and :meth:`_idle`, so
+    the search and its lower-bound probe follow the same rules.
+    """
+
+    def __init__(self, model: _BatteryModel, groups: Sequence[int]) -> None:
+        self.model = model
+        self.groups = tuple(groups)
+        self.bounds = model.bounds
+        self.n_epochs = model.epoch_length.shape[0]
         self.pool = FrontierArrays(
             {
-                "state": ((self.n_batteries, 2), np.float64),
-                "sticky": ((self.n_batteries,), np.bool_),
+                "state": (model.state_shape, model.state_dtype),
+                "empty": ((model.n_batteries,), np.bool_),
                 "epoch": ((), np.int64),
-                "offset": ((), np.float64),
-                "time": ((), np.float64),
+                "offset": ((), model.time_dtype),
+                "time": ((), model.time_dtype),
                 "trace": ((), np.int64),
             }
         )
@@ -875,19 +1107,51 @@ class _AnalyticalOps:
 
     def root_batch(self):
         """The root decision node as a one-row in-flight column batch."""
-        state = np.zeros((1, self.n_batteries, 2), dtype=np.float64)
-        state[:, :, GAMMA] = self.kp.capacity
+        model = self.model
         return {
-            "state": state,
-            "sticky": np.zeros((1, self.n_batteries), dtype=bool),
+            "state": model.root_state(),
+            "empty": np.zeros((1, model.n_batteries), dtype=bool),
             "epoch": np.zeros(1, dtype=np.int64),
-            "offset": np.zeros(1, dtype=np.float64),
-            "time": np.zeros(1, dtype=np.float64),
+            "offset": np.zeros(1, dtype=model.time_dtype),
+            "time": np.zeros(1, dtype=model.time_dtype),
             "trace": np.full(1, -1, dtype=np.int64),
         }
 
-    def candidate_lifetime(self, time) -> float:
-        return float(time)
+    # -- the two shared steps ------------------------------------------- #
+    def _serve(self, state, empty, epoch, offset, time, choice):
+        """Serve battery ``choice[i]`` on row ``i`` for the rest of its job.
+
+        The span ends at the job's end or at the served battery's empty
+        point, whichever comes first.  Returns the advanced ``(state,
+        empty, epoch, offset, time)`` columns and a ``dead`` flag per row:
+        the served battery emptied and no battery is left alive, so the
+        system died at the returned time.
+        """
+        model = self.model
+        remaining = model.epoch_length[epoch] - offset
+        state, span, emptied = model.serve(state, empty, choice, epoch, remaining)
+        empty = empty.copy()
+        empty[np.arange(choice.shape[0]), choice] |= emptied
+        # The battery emptied before the job ended: the next decision point
+        # is inside the same epoch.
+        mid = emptied & (remaining - span > _TIME_EPSILON)
+        dead = emptied & ~model.alive(state, empty).any(axis=1)
+        return (
+            state,
+            empty,
+            np.where(mid, epoch, epoch + 1),
+            np.where(mid, offset + span, 0),
+            time + span,
+            dead,
+        )
+
+    def _idle(self, state, empty, epoch, offset, time, rows) -> None:
+        """Advance ``rows`` in place over the rest of their idle epoch."""
+        span = self.model.epoch_length[epoch[rows]] - offset[rows]
+        state[rows] = self.model.idle(state[rows], empty[rows], span)
+        time[rows] += span
+        epoch[rows] += 1
+        offset[rows] = 0
 
     # -- expansion ------------------------------------------------------ #
     def branch(self, slots: np.ndarray):
@@ -899,17 +1163,12 @@ class _AnalyticalOps:
         :meth:`prepare` (idle-epoch advance, bound, dominance).  The
         caller releases the parent slots afterwards.
         """
-        pool = self.pool
-        S = pool.state[slots]
-        sticky = pool.sticky[slots]
-        epoch = pool.epoch[slots]
-        offset = pool.offset[slots]
-        time = pool.time[slots]
-        trace = pool.trace[slots]
-        c = self.kp.c
-        margin = S[:, :, GAMMA] - (1.0 - c) * S[:, :, DELTA]
-        alive = (~sticky) & (margin > _EMPTY_TOLERANCE)
-        avail = np.maximum(0.0, c * margin)
+        model = self.model
+        state, empty, epoch, offset, time, trace = (
+            getattr(self.pool, name)[slots] for name in _COLUMNS
+        )
+        alive = model.alive(state, empty)
+        avail = model.available(state)
 
         parents: List[int] = []
         choices: List[int] = []
@@ -918,7 +1177,7 @@ class _AnalyticalOps:
             # Most available charge first; ``sorted`` is stable, so ties
             # keep index order -- identical to the scalar ordering.
             ordered = sorted(usable, key=lambda j: -avail[i, j])
-            if offset[i] == 0.0 and time[i] == 0.0:
+            if offset[i] == 0 and time[i] == 0:
                 # All batteries are full at the very first decision: one
                 # representative per symmetry group suffices (a no-op for
                 # all-singleton groups), exactly like the scalar search.
@@ -930,56 +1189,21 @@ class _AnalyticalOps:
             return [], None
         par = np.asarray(parents, dtype=np.int64)
         cho = np.asarray(choices, dtype=np.int64)
-        P = par.shape[0]
-        rows = np.arange(P)
-
-        cur = self.currents[epoch[par]]
-        remaining = self.durations[epoch[par]] - offset[par]
-        crossing, crossed = time_to_empty_array(
-            c[cho],
-            self.kp.k_prime[cho],
-            S[par, cho, GAMMA],
-            S[par, cho, DELTA],
-            cur,
-            remaining,
+        state, empty, epoch, offset, time, dead = self._serve(
+            state[par], empty[par], epoch[par], offset[par], time[par], cho
         )
-        span = np.where(crossed, crossing, remaining)
-        battery_currents = np.zeros((P, self.n_batteries))
-        battery_currents[rows, cho] = cur
-        old = S[par]
-        new = step_constant_current_array(
-            self.kp, old, battery_currents, span[:, None]
-        )
-        frozen = sticky[par]
-        child_state = np.where(frozen[:, :, None], old, new)
-        child_sticky = frozen.copy()
-        child_sticky[rows, cho] |= crossed
-        child_time = time[par] + span
-        mid = crossed & (remaining - span > _TIME_EPSILON)
-        child_epoch = np.where(mid, epoch[par], epoch[par] + 1)
-        child_offset = np.where(mid, offset[par] + span, 0.0)
-        child_trace = self.trace.append(trace[par], cho)
-
-        child_margin = child_state[:, :, GAMMA] - (1.0 - c) * child_state[:, :, DELTA]
-        alive_after = (~child_sticky) & (child_margin > _EMPTY_TOLERANCE)
-        dead = crossed & ~alive_after.any(axis=1)
-
+        trace = self.trace.append(trace[par], cho)
         candidates = [
-            (float(child_time[p]), int(child_trace[p]))
+            (float(time[p]) * model.time_unit, int(trace[p]))
             for p in np.flatnonzero(dead)
         ]
         live = np.flatnonzero(~dead)
         if live.size == 0:
             return candidates, None
-        children = {
-            "state": child_state[live],
-            "sticky": child_sticky[live],
-            "epoch": child_epoch[live],
-            "offset": child_offset[live],
-            "time": child_time[live],
-            "trace": child_trace[live],
+        columns = (state, empty, epoch, offset, time, trace)
+        return candidates, {
+            name: column[live] for name, column in zip(_COLUMNS, columns)
         }
-        return candidates, children
 
     # -- decision-point preparation ------------------------------------- #
     def prepare(self, children, best_lifetime: float):
@@ -995,643 +1219,125 @@ class _AnalyticalOps:
         """
         if children is None:
             return [], None
-        S = children["state"]
-        sticky = children["sticky"]
-        epoch = children["epoch"]
-        offset = children["offset"]
-        time = children["time"]
-        trace = children["trace"]
-        K = S.shape[0]
-        c = self.kp.c
+        model = self.model
+        unit = model.time_unit
+        state, empty, epoch, offset, time, trace = (
+            children[name] for name in _COLUMNS
+        )
 
         candidates = []
         decided: List[int] = []
-        pending = np.arange(K)
+        pending = np.arange(state.shape[0])
         while pending.size:
             exhausted = epoch[pending] >= self.n_epochs
             for p in pending[exhausted]:
                 # The batteries survived the load; the load end is the
                 # observed lifetime (scalar semantics).
-                candidates.append((float(time[p]), int(trace[p])))
+                candidates.append((float(time[p]) * unit, int(trace[p])))
             rest = pending[~exhausted]
             if rest.size == 0:
                 break
-            job = self.is_job[epoch[rest]]
+            job = model.is_job[epoch[rest]]
             decided.extend(rest[job].tolist())
             idle = rest[~job]
             if idle.size == 0:
                 break
-            span = self.durations[epoch[idle]] - offset[idle]
-            old = S[idle]
-            new = step_constant_current_array(
-                self.kp, old, np.zeros((idle.size, self.n_batteries)), span[:, None]
-            )
-            S[idle] = np.where(sticky[idle][:, :, None], old, new)
-            time[idle] += span
-            epoch[idle] += 1
-            offset[idle] = 0.0
+            self._idle(state, empty, epoch, offset, time, idle)
             pending = idle
 
         if not decided:
             return candidates, None
         d = np.asarray(decided, dtype=np.int64)
-        margin = S[d, :, GAMMA] - (1.0 - c) * S[d, :, DELTA]
-        alive = (~sticky[d]) & (margin > _EMPTY_TOLERANCE)
+        alive = model.alive(state[d], empty[d])
         any_alive = alive.any(axis=1)
         for p in d[~any_alive]:
             # A job arrived and no battery can serve it: the system died
             # the moment the previous span ended.
-            candidates.append((float(time[p]), int(trace[p])))
+            candidates.append((float(time[p]) * unit, int(trace[p])))
         live = d[any_alive]
         if live.size == 0:
             return candidates, None
 
-        if self.bounds.pooled is not None:
-            live_alive = alive[any_alive]
-            gamma = np.where(live_alive, S[live, :, GAMMA], 0.0).sum(axis=1)
-            delta = np.where(live_alive, S[live, :, DELTA], 0.0).sum(axis=1)
-            remaining = self.bounds.pooled_bounds(
-                gamma, delta, epoch[live], offset[live]
-            )
-            y1 = c * (S[live, :, GAMMA] - (1.0 - c) * S[live, :, DELTA])
-            y2 = S[live, :, GAMMA] - y1
-            remaining = self.bounds.recovery_limited_bounds(
-                remaining, gamma, delta, epoch[live], offset[live],
-                y1, y2, live_alive,
-            )
-        else:
-            total = np.where(
-                alive[any_alive], np.maximum(0.0, S[live, :, GAMMA]), 0.0
-            ).sum(axis=1)
-            remaining = self.bounds.total_charge_bounds(
-                total, epoch[live], offset[live]
-            )
-        totals = time[live] + remaining
-
+        remaining = model.remaining_bounds(
+            state[live], alive[any_alive], epoch[live], offset[live] * unit
+        )
+        totals = time[live] * unit + remaining
         keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
         if keep.size == 0:
             return candidates, None
         kept = live[keep]
-        matrices = self._matrices(S[kept], sticky[kept])
-        pool = self.pool
-        slots = pool.allocate(kept.size)
-        pool.state[slots] = S[kept]
-        pool.sticky[slots] = sticky[kept]
-        pool.epoch[slots] = epoch[kept]
-        pool.offset[slots] = offset[kept]
-        pool.time[slots] = time[kept]
-        pool.trace[slots] = trace[kept]
+        slots = self.pool.allocate(kept.size)
+        for name in _COLUMNS:
+            getattr(self.pool, name)[slots] = children[name][kept]
+        # ``round`` leaves the discrete model's integer offsets unchanged.
         keys = [
             (point, round(at, 9))
             for point, at in zip(epoch[kept].tolist(), offset[kept].tolist())
         ]
+        matrices = model.matrices(state[kept], empty[kept])
         return candidates, (slots, totals[keep], keys, matrices)
-
-    def _matrices(self, states: np.ndarray, sticky: np.ndarray) -> np.ndarray:
-        """The scalar search's dominance matrices, one ``(B, 3)`` per node."""
-        K = states.shape[0]
-        mat = np.empty((K, self.n_batteries, 3))
-        mat[:, :, 0] = 1.0
-        mat[:, :, 1] = states[:, :, GAMMA]
-        mat[:, :, 2] = -states[:, :, DELTA]
-        empty_row = np.array([0.0, -np.inf, -np.inf])
-        return np.where(sticky[:, :, None], empty_row, mat)
 
     # -- greedy lower bounds -------------------------------------------- #
     def greedy_lifetimes(self, slots: np.ndarray):
         """Achieved lifetime of each slot under the fixed greedy completion.
 
         Rolls every node forward with the most-available-charge-first rule
-        (the search's own branch ordering) until system death, entirely on
-        the batch kernels.  Returns ``(lifetimes, choices)`` -- the
-        lifetime in minutes per node and the battery-choice list each
-        rollout appended, so an improving node's full assignment can be
-        reconstructed from its decision trace plus its greedy tail.  The
-        rollouts are real schedules of these batteries, so each lifetime
-        is an achievable *lower* bound on the node's optimum.
+        (the search's own branch ordering) until system death, on the same
+        serve and idle steps as :meth:`branch` and :meth:`prepare`.
+        Returns ``(lifetimes, choices)`` -- the lifetime in minutes per node
+        and the battery-choice list each rollout appended, so an improving
+        node's full assignment can be reconstructed from its decision trace
+        plus its greedy tail.  The rollouts are real schedules of these
+        batteries, so each lifetime is an achievable *lower* bound on the
+        node's optimum.
         """
-        pool = self.pool
-        S = pool.state[slots].copy()
-        sticky = pool.sticky[slots].copy()
-        epoch = pool.epoch[slots].copy()
-        offset = pool.offset[slots].copy()
-        time = pool.time[slots].copy()
-        K = slots.shape[0]
-        c = self.kp.c
-        lifetimes = np.zeros(K)
-        choices: List[List[int]] = [[] for _ in range(K)]
-        active = np.arange(K)
+        model = self.model
+        unit = model.time_unit
+        state, empty, epoch, offset, time = (
+            getattr(self.pool, name)[slots] for name in _COLUMNS[:5]
+        )
+        lifetimes = np.zeros(slots.shape[0])
+        choices: List[List[int]] = [[] for _ in range(slots.shape[0])]
+        active = np.arange(slots.shape[0])
         while active.size:
             ended = epoch[active] >= self.n_epochs
-            fin = active[ended]
-            lifetimes[fin] = time[fin]
+            lifetimes[active[ended]] = time[active[ended]] * unit
             active = active[~ended]
             if active.size == 0:
                 break
-            job = self.is_job[epoch[active]]
+            job = model.is_job[epoch[active]]
             idle = active[~job]
             if idle.size:
-                span = self.durations[epoch[idle]] - offset[idle]
-                old = S[idle]
-                new = step_constant_current_array(
-                    self.kp, old, np.zeros((idle.size, self.n_batteries)), span[:, None]
-                )
-                S[idle] = np.where(sticky[idle][:, :, None], old, new)
-                time[idle] += span
-                epoch[idle] += 1
-                offset[idle] = 0.0
+                self._idle(state, empty, epoch, offset, time, idle)
             serving = active[job]
+            alive = model.alive(state[serving], empty[serving])
+            stuck = ~alive.any(axis=1)
+            lifetimes[serving[stuck]] = time[serving[stuck]] * unit
+            serving = serving[~stuck]
             if serving.size:
-                margin = S[serving, :, GAMMA] - (1.0 - c) * S[serving, :, DELTA]
-                alive = (~sticky[serving]) & (margin > _EMPTY_TOLERANCE)
-                dead = ~alive.any(axis=1)
-                fin = serving[dead]
-                lifetimes[fin] = time[fin]
+                avail = np.where(alive[~stuck], model.available(state[serving]), -1.0)
+                cho = avail.argmax(axis=1)
+                (
+                    state[serving],
+                    empty[serving],
+                    epoch[serving],
+                    offset[serving],
+                    time[serving],
+                    dead,
+                ) = self._serve(
+                    state[serving],
+                    empty[serving],
+                    epoch[serving],
+                    offset[serving],
+                    time[serving],
+                    cho,
+                )
+                for k, j in zip(serving.tolist(), cho.tolist()):
+                    choices[k].append(j)
+                # The rollout ends where its last battery emptied, exactly
+                # like a branched child.
+                lifetimes[serving[dead]] = time[serving[dead]] * unit
                 serving = serving[~dead]
-                if serving.size:
-                    margin = margin[~dead]
-                    alive = alive[~dead]
-                    avail = np.where(alive, np.maximum(0.0, c * margin), -1.0)
-                    cho = avail.argmax(axis=1)
-                    rows = np.arange(serving.size)
-                    cur = self.currents[epoch[serving]]
-                    remaining = self.durations[epoch[serving]] - offset[serving]
-                    crossing, crossed = time_to_empty_array(
-                        c[cho],
-                        self.kp.k_prime[cho],
-                        S[serving, cho, GAMMA],
-                        S[serving, cho, DELTA],
-                        cur,
-                        remaining,
-                    )
-                    span = np.where(crossed, crossing, remaining)
-                    battery_currents = np.zeros((serving.size, self.n_batteries))
-                    battery_currents[rows, cho] = cur
-                    old = S[serving]
-                    new = step_constant_current_array(
-                        self.kp, old, battery_currents, span[:, None]
-                    )
-                    S[serving] = np.where(sticky[serving][:, :, None], old, new)
-                    sticky[serving, cho] = sticky[serving, cho] | crossed
-                    time[serving] += span
-                    mid = crossed & (remaining - span > _TIME_EPSILON)
-                    epoch[serving] = np.where(mid, epoch[serving], epoch[serving] + 1)
-                    offset[serving] = np.where(mid, offset[serving] + span, 0.0)
-                    for k, j in zip(serving, cho):
-                        choices[int(k)].append(int(j))
-            active = np.concatenate([idle, serving])
-        return lifetimes, choices
-
-
-# --------------------------------------------------------------------- #
-# discrete backend ops
-# --------------------------------------------------------------------- #
-class _DiscreteOps:
-    """Exact integer node advances and bounds for the dKiBaM."""
-
-    model = "discrete"
-
-    def __init__(
-        self,
-        params: Sequence[BatteryParameters],
-        load: Load,
-        symmetric: bool,
-        time_step: float,
-        charge_unit: float,
-        groups: Optional[Sequence[int]] = None,
-    ) -> None:
-        self.params = tuple(params)
-        self.n_batteries = len(params)
-        self.symmetric = symmetric
-        self.groups = _resolve_groups(groups, symmetric, self.n_batteries)
-        self.time_step = time_step
-        self.charge_unit = charge_unit
-        self.dp = KernelParams.from_parameters(params).discretize(
-            time_step, charge_unit
-        )
-        self.cp = self.dp.c_permille
-        self.q = 1000 - self.cp
-        self.tables = self.dp.tables
-        self.trow = self.dp.table_id
-        self.c = self.dp.c
-        self.height_unit = self.dp.height_unit
-        epochs = load.epochs
-        self.currents = np.array([e.current for e in epochs], dtype=np.float64)
-        self.durations = np.array([e.duration for e in epochs], dtype=np.float64)
-        specs = [
-            discharge_spec_for(e.current, time_step, charge_unit)
-            if e.current > 0.0
-            else None
-            for e in epochs
-        ]
-        self.e_cur = np.array(
-            [spec.cur if spec else 0 for spec in specs], dtype=np.int64
-        )
-        self.e_ct = np.array(
-            [spec.cur_times if spec else 1 for spec in specs], dtype=np.int64
-        )
-        self.e_ticks = np.array(
-            [duration_ticks(e.duration, time_step) for e in epochs], dtype=np.int64
-        )
-        self.is_job = self.e_cur > 0
-        self.n_epochs = len(epochs)
-        # The analytical pooling bound gets the scalar search's
-        # discretization-aware safety margin when pruning dKiBaM searches.
-        self.bounds = _BoundEvaluator(
-            params,
-            self.currents,
-            self.durations,
-            bound_slack=discrete_bound_slack_for(time_step, charge_unit),
-        )
-        self.pool = FrontierArrays(
-            {
-                "units": ((6, self.n_batteries), np.int64),
-                "empty": ((self.n_batteries,), np.bool_),
-                "epoch": ((), np.int64),
-                "offset": ((), np.int64),
-                "time": ((), np.int64),
-                "trace": ((), np.int64),
-            }
-        )
-        self.trace = DecisionTrace()
-
-    def root_batch(self):
-        """The root decision node as a one-row in-flight column batch."""
-        units = np.zeros((1, 6, self.n_batteries), dtype=np.int64)
-        units[:, _N_ROW] = self.dp.total_units
-        units[:, _RCT_ROW] = 1
-        return {
-            "units": units,
-            "empty": np.zeros((1, self.n_batteries), dtype=bool),
-            "epoch": np.zeros(1, dtype=np.int64),
-            "offset": np.zeros(1, dtype=np.int64),
-            "time": np.zeros(1, dtype=np.int64),
-            "trace": np.full(1, -1, dtype=np.int64),
-        }
-
-    def candidate_lifetime(self, time) -> float:
-        return float(time) * self.time_step
-
-    def _alive(self, units: np.ndarray, empty: np.ndarray) -> np.ndarray:
-        crit = self.q * units[..., _M_ROW, :] >= self.cp * units[..., _N_ROW, :]
-        return (~empty) & (~crit)
-
-    # -- expansion ------------------------------------------------------ #
-    def branch(self, slots: np.ndarray):
-        pool = self.pool
-        U = pool.units[slots]  # (K, 6, B)
-        empty = pool.empty[slots]
-        epoch = pool.epoch[slots]
-        offset = pool.offset[slots]
-        time = pool.time[slots]
-        trace = pool.trace[slots]
-        alive = self._alive(U, empty)
-        gamma = U[:, _N_ROW, :] * self.charge_unit
-        delta = U[:, _M_ROW, :] * self.height_unit
-        avail = np.maximum(0.0, self.c * (gamma - (1.0 - self.c) * delta))
-
-        parents: List[int] = []
-        choices: List[int] = []
-        for i in range(slots.shape[0]):
-            usable = np.flatnonzero(alive[i]).tolist()
-            ordered = sorted(usable, key=lambda j: -avail[i, j])
-            if offset[i] == 0 and time[i] == 0:
-                # One representative per symmetry group at the very first
-                # decision, exactly like the scalar search.
-                ordered = _group_representatives(ordered, self.groups)
-            for j in ordered:
-                parents.append(i)
-                choices.append(j)
-        if not parents:
-            return [], None
-        par = np.asarray(parents, dtype=np.int64)
-        cho = np.asarray(choices, dtype=np.int64)
-        P = par.shape[0]
-        rows = np.arange(P)
-
-        cur = self.e_cur[epoch[par]]
-        ct = self.e_ct[epoch[par]]
-        remaining = self.e_ticks[epoch[par]] - offset[par]
-        lane = U[par, :, cho]  # (P, 6)
-        n2, m2, rec2, acc2, rcur2, rct2, empty_tick = discrete_segment_array(
-            self.tables,
-            self.trow[cho],
-            self.cp[cho],
-            lane[:, _N_ROW],
-            lane[:, _M_ROW],
-            lane[:, _REC_ROW],
-            lane[:, _ACC_ROW],
-            lane[:, _RCUR_ROW],
-            lane[:, _RCT_ROW],
-            cur,
-            ct,
-            remaining,
-        )
-        emptied = empty_tick >= 0
-        span = np.where(emptied, empty_tick, remaining)
-
-        child_U = U[par].copy()
-        child_U[rows, :, cho] = np.stack([n2, m2, rec2, acc2, rcur2, rct2], axis=1)
-        child_empty = empty[par].copy()
-        child_empty[rows, cho] |= emptied
-
-        # Idle the other (non-empty) batteries for the served span.
-        other = ~child_empty
-        other[rows, cho] = False
-        lane_node, lane_bat = np.nonzero(other)
-        if lane_node.size:
-            flat = child_U[lane_node, :, lane_bat]  # (L, 6)
-            zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-            i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                self.tables,
-                self.trow[lane_bat],
-                self.cp[lane_bat],
-                flat[:, _N_ROW],
-                flat[:, _M_ROW],
-                flat[:, _REC_ROW],
-                flat[:, _ACC_ROW],
-                flat[:, _RCUR_ROW],
-                flat[:, _RCT_ROW],
-                zeros,
-                np.ones(lane_node.shape[0], dtype=np.int64),
-                span[lane_node],
-            )
-            child_U[lane_node, :, lane_bat] = np.stack(
-                [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-            )
-
-        child_time = time[par] + span
-        mid = emptied & (remaining - span > 0)
-        child_epoch = np.where(mid, epoch[par], epoch[par] + 1)
-        child_offset = np.where(mid, offset[par] + span, 0)
-        child_trace = self.trace.append(trace[par], cho)
-        alive_after = self._alive(child_U, child_empty)
-        dead = emptied & ~alive_after.any(axis=1)
-
-        candidates = [
-            (self.candidate_lifetime(child_time[p]), int(child_trace[p]))
-            for p in np.flatnonzero(dead)
-        ]
-        live = np.flatnonzero(~dead)
-        if live.size == 0:
-            return candidates, None
-        children = {
-            "units": child_U[live],
-            "empty": child_empty[live],
-            "epoch": child_epoch[live],
-            "offset": child_offset[live],
-            "time": child_time[live],
-            "trace": child_trace[live],
-        }
-        return candidates, children
-
-    # -- decision-point preparation ------------------------------------- #
-    def prepare(self, children, best_lifetime: float):
-        if children is None:
-            return [], None
-        U = children["units"]
-        empty = children["empty"]
-        epoch = children["epoch"]
-        offset = children["offset"]
-        time = children["time"]
-        trace = children["trace"]
-        K = U.shape[0]
-
-        candidates = []
-        decided: List[int] = []
-        pending = np.arange(K)
-        while pending.size:
-            exhausted = epoch[pending] >= self.n_epochs
-            for p in pending[exhausted]:
-                candidates.append(
-                    (self.candidate_lifetime(time[p]), int(trace[p]))
-                )
-            rest = pending[~exhausted]
-            if rest.size == 0:
-                break
-            job = self.is_job[epoch[rest]]
-            decided.extend(rest[job].tolist())
-            idle = rest[~job]
-            if idle.size == 0:
-                break
-            span = self.e_ticks[epoch[idle]] - offset[idle]
-            usable = ~empty[idle]
-            lane_node, lane_bat = np.nonzero(usable)
-            if lane_node.size:
-                sub = idle[lane_node]
-                flat = U[sub, :, lane_bat]
-                zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-                i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                    self.tables,
-                    self.trow[lane_bat],
-                    self.cp[lane_bat],
-                    flat[:, _N_ROW],
-                    flat[:, _M_ROW],
-                    flat[:, _REC_ROW],
-                    flat[:, _ACC_ROW],
-                    flat[:, _RCUR_ROW],
-                    flat[:, _RCT_ROW],
-                    zeros,
-                    np.ones(lane_node.shape[0], dtype=np.int64),
-                    span[lane_node],
-                )
-                U[sub, :, lane_bat] = np.stack(
-                    [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-                )
-            time[idle] += span
-            epoch[idle] += 1
-            offset[idle] = 0
-            pending = idle
-
-        if not decided:
-            return candidates, None
-        d = np.asarray(decided, dtype=np.int64)
-        alive = self._alive(U[d], empty[d])
-        any_alive = alive.any(axis=1)
-        for p in d[~any_alive]:
-            candidates.append(
-                (self.candidate_lifetime(time[p]), int(trace[p]))
-            )
-        live = d[any_alive]
-        if live.size == 0:
-            return candidates, None
-
-        offset_min = offset[live] * self.time_step
-        if self.bounds.pooled is not None:
-            live_alive = alive[any_alive]
-            gamma_u = U[live, _N_ROW, :] * self.charge_unit
-            delta_u = U[live, _M_ROW, :] * self.height_unit
-            gamma = np.where(live_alive, gamma_u, 0.0).sum(axis=1)
-            delta = np.where(live_alive, delta_u, 0.0).sum(axis=1)
-            # No recovery-limited refinement here: the chain-feasibility
-            # argument holds for the continuous dynamics only, and dKiBaM
-            # tick rounding can keep a marginal burst alive that the
-            # continuous threshold rules out (see
-            # OptimalScheduler._recovery_limited_bound).  The discrete
-            # search keeps the slack-inflated pooling bound.
-            remaining = self.bounds.pooled_bounds(
-                gamma, delta, epoch[live], offset_min
-            )
-        else:
-            total = np.where(
-                alive[any_alive], U[live, _N_ROW, :] * self.charge_unit, 0.0
-            ).sum(axis=1)
-            remaining = self.bounds.total_charge_bounds(
-                total, epoch[live], offset_min
-            )
-        totals = time[live] * self.time_step + remaining
-
-        keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
-        if keep.size == 0:
-            return candidates, None
-        kept = live[keep]
-        matrices = self._matrices(U[kept], empty[kept])
-        pool = self.pool
-        slots = pool.allocate(kept.size)
-        pool.units[slots] = U[kept]
-        pool.empty[slots] = empty[kept]
-        pool.epoch[slots] = epoch[kept]
-        pool.offset[slots] = offset[kept]
-        pool.time[slots] = time[kept]
-        pool.trace[slots] = trace[kept]
-        keys = list(zip(epoch[kept].tolist(), offset[kept].tolist()))
-        return candidates, (slots, totals[keep], keys, matrices)
-
-    def _matrices(self, units: np.ndarray, empty: np.ndarray) -> np.ndarray:
-        """The scalar search's dominance matrices, one ``(B, 5)`` per node."""
-        K = units.shape[0]
-        mat = np.empty((K, self.n_batteries, 5))
-        mat[:, :, 0] = 1.0
-        mat[:, :, 1] = units[:, _N_ROW, :]
-        mat[:, :, 2] = -units[:, _M_ROW, :]
-        mat[:, :, 3] = -units[:, _ACC_ROW, :]
-        mat[:, :, 4] = units[:, _REC_ROW, :]
-        empty_row = np.full(5, -np.inf)
-        empty_row[0] = 0.0
-        return np.where(empty[:, :, None], empty_row, mat)
-
-    # -- greedy lower bounds -------------------------------------------- #
-    def greedy_lifetimes(self, slots: np.ndarray):
-        """Exact-tick greedy-completion lifetimes; see the analytical twin."""
-        pool = self.pool
-        U = pool.units[slots].copy()
-        empty = pool.empty[slots].copy()
-        epoch = pool.epoch[slots].copy()
-        offset = pool.offset[slots].copy()
-        time = pool.time[slots].copy()
-        K = slots.shape[0]
-        lifetimes = np.zeros(K)
-        choices: List[List[int]] = [[] for _ in range(K)]
-        active = np.arange(K)
-        while active.size:
-            ended = epoch[active] >= self.n_epochs
-            fin = active[ended]
-            lifetimes[fin] = time[fin] * self.time_step
-            active = active[~ended]
-            if active.size == 0:
-                break
-            job = self.is_job[epoch[active]]
-            idle = active[~job]
-            if idle.size:
-                span = self.e_ticks[epoch[idle]] - offset[idle]
-                usable = ~empty[idle]
-                lane_node, lane_bat = np.nonzero(usable)
-                if lane_node.size:
-                    sub = idle[lane_node]
-                    flat = U[sub, :, lane_bat]
-                    zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-                    i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                        self.tables,
-                        self.trow[lane_bat],
-                        self.cp[lane_bat],
-                        flat[:, _N_ROW],
-                        flat[:, _M_ROW],
-                        flat[:, _REC_ROW],
-                        flat[:, _ACC_ROW],
-                        flat[:, _RCUR_ROW],
-                        flat[:, _RCT_ROW],
-                        zeros,
-                        np.ones(lane_node.shape[0], dtype=np.int64),
-                        span[lane_node],
-                    )
-                    U[sub, :, lane_bat] = np.stack(
-                        [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-                    )
-                time[idle] += span
-                epoch[idle] += 1
-                offset[idle] = 0
-            serving = active[job]
-            if serving.size:
-                alive = self._alive(U[serving], empty[serving])
-                dead = ~alive.any(axis=1)
-                fin = serving[dead]
-                lifetimes[fin] = time[fin] * self.time_step
-                serving = serving[~dead]
-                if serving.size:
-                    alive = alive[~dead]
-                    gamma = U[serving, _N_ROW, :] * self.charge_unit
-                    delta = U[serving, _M_ROW, :] * self.height_unit
-                    avail = np.where(
-                        alive,
-                        np.maximum(0.0, self.c * (gamma - (1.0 - self.c) * delta)),
-                        -1.0,
-                    )
-                    cho = avail.argmax(axis=1)
-                    rows = np.arange(serving.size)
-                    cur = self.e_cur[epoch[serving]]
-                    ct = self.e_ct[epoch[serving]]
-                    remaining = self.e_ticks[epoch[serving]] - offset[serving]
-                    lane = U[serving, :, cho]
-                    n2, m2, rec2, acc2, rcur2, rct2, empty_tick = discrete_segment_array(
-                        self.tables,
-                        self.trow[cho],
-                        self.cp[cho],
-                        lane[:, _N_ROW],
-                        lane[:, _M_ROW],
-                        lane[:, _REC_ROW],
-                        lane[:, _ACC_ROW],
-                        lane[:, _RCUR_ROW],
-                        lane[:, _RCT_ROW],
-                        cur,
-                        ct,
-                        remaining,
-                    )
-                    emptied = empty_tick >= 0
-                    span = np.where(emptied, empty_tick, remaining)
-                    U[serving, :, cho] = np.stack(
-                        [n2, m2, rec2, acc2, rcur2, rct2], axis=1
-                    )
-                    empty[serving, cho] = empty[serving, cho] | emptied
-                    other = ~empty[serving]
-                    other[rows, cho] = False
-                    lane_node, lane_bat = np.nonzero(other)
-                    if lane_node.size:
-                        sub = serving[lane_node]
-                        flat = U[sub, :, lane_bat]
-                        zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-                        i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                            self.tables,
-                            self.trow[lane_bat],
-                            self.cp[lane_bat],
-                            flat[:, _N_ROW],
-                            flat[:, _M_ROW],
-                            flat[:, _REC_ROW],
-                            flat[:, _ACC_ROW],
-                            flat[:, _RCUR_ROW],
-                            flat[:, _RCT_ROW],
-                            zeros,
-                            np.ones(lane_node.shape[0], dtype=np.int64),
-                            span[lane_node],
-                        )
-                        U[sub, :, lane_bat] = np.stack(
-                            [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-                        )
-                    time[serving] += span
-                    mid = emptied & (remaining - span > 0)
-                    epoch[serving] = np.where(mid, epoch[serving], epoch[serving] + 1)
-                    offset[serving] = np.where(mid, offset[serving] + span, 0)
-                    for k, j in zip(serving, cho):
-                        choices[int(k)].append(int(j))
             active = np.concatenate([idle, serving])
         return lifetimes, choices
 
@@ -1727,16 +1433,15 @@ class BatchOptimalScheduler:
             if use_symmetry
             else tuple(range(len(self.params)))
         )
-        self._groups = groups
-        symmetric = len(set(groups)) == 1
         if model == "discrete":
-            self._ops = _DiscreteOps(
-                self.params, load, symmetric, time_step, charge_unit, groups=groups
+            battery_model: _BatteryModel = _DiscreteModel(
+                self.params, load, time_step, charge_unit
             )
         else:
-            self._ops = _AnalyticalOps(self.params, load, symmetric, groups=groups)
+            battery_model = _AnalyticalModel(self.params, load)
+        self._ops = _SearchDriver(battery_model, groups)
         self._archive = VectorDominanceArchive(
-            symmetric=symmetric,
+            symmetric=len(set(groups)) == 1,
             n_batteries=len(self.params),
             dominance_tolerance=dominance_tolerance,
             archive_limit=archive_limit,

@@ -54,6 +54,13 @@ DEFAULT_OPTIMAL_MAX_NODES = 20_000
 #: unit; does not change any reported digit on the paper loads).
 DEFAULT_OPTIMAL_TOLERANCE = 0.005
 
+#: Revision of the optimal search's results, hashed into every spec with an
+#: optimal column.  Bumped whenever a search fix can change the column for
+#: an unchanged spec, so stores never serve numbers of the old search.
+#: Revision 2: the greedy lower-bound probe stops at system death (before,
+#: a dKiBaM probe could overestimate and prune the optimum).
+OPTIMAL_SEARCH_REVISION = 2
+
 
 # --------------------------------------------------------------------- #
 # battery axis
@@ -516,6 +523,7 @@ class SweepSpec:
             payload["optimal"] = {
                 "max_nodes": self.optimal_max_nodes,
                 "dominance_tolerance": self.optimal_dominance_tolerance,
+                "revision": OPTIMAL_SEARCH_REVISION,
             }
         return payload
 

@@ -188,3 +188,33 @@ class TestGateDecisions:
         """The CI default path: baselines from `git show HEAD:...`."""
         baseline = check_bench.load_baseline("BENCH_engine.json", "HEAD", None)
         assert baseline is not None and "speedup" in baseline
+
+
+class TestRecordMetadata:
+    """Every written record says which revision and toolchain measured it."""
+
+    def test_written_records_carry_a_meta_block(self, tmp_path, monkeypatch):
+        import platform
+
+        import numpy as np
+
+        import benchmarks.conftest as bench
+
+        monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
+        monkeypatch.setenv(bench.RECORD_ENV, "1")
+        bench.write_bench_record("BENCH_x.json", {"speedup": 2.0})
+        bench.write_bench_record("BENCH_x.json", {"other": 1})
+        record = json.loads((tmp_path / "BENCH_x.json").read_text())
+        assert record["speedup"] == 2.0 and record["other"] == 1
+        meta = record["meta"]
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
+        assert meta["git_sha"] is None or len(meta["git_sha"]) == 40
+
+    def test_nothing_is_written_without_opting_in(self, tmp_path, monkeypatch):
+        import benchmarks.conftest as bench
+
+        monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
+        monkeypatch.delenv(bench.RECORD_ENV, raising=False)
+        bench.write_bench_record("BENCH_x.json", {"speedup": 2.0})
+        assert not (tmp_path / "BENCH_x.json").exists()

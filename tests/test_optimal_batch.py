@@ -201,6 +201,64 @@ class TestDiscreteParity:
         )
         assert replay.lifetime_or_raise() == batched.lifetime
 
+    @pytest.mark.parametrize(
+        "params, trace, repeat, ticks",
+        [
+            (
+                (B1.scaled(0.6),) * 2,
+                [[0.5, 1], [0, 1], [0.25, 0.5], [0, 2], [0.25, 1.5], [0, 1]],
+                15,
+                928,
+            ),
+            ((B1.scaled(0.3),) * 3, [[0.5, 0.5], [0, 2], [0.5, 1], [0, 2]], 15, 812),
+            ((B1.scaled(0.5), B1.scaled(0.3)), [[0.25, 1], [0, 1]], 60, 820),
+        ],
+    )
+    def test_probe_never_raises_the_cutoff_past_the_optimum(
+        self, params, trace, repeat, ticks
+    ):
+        # Loads where a greedy rollout empties its last battery exactly at
+        # the end of a job: a probe that kept rolling through the next idle
+        # epoch reported a lifetime its own schedule never reaches, and that
+        # overestimate pruned the optimum out of a "certified" search.
+        epochs = tuple(Epoch(current=c, duration=d) for c, d in trace) * repeat
+        load = Load(name="probe-death", epochs=epochs)
+        scalar = find_optimal_schedule(params, load, backend="discrete")
+        batched = find_optimal_schedule_batched(params, load, model="discrete")
+        assert round(batched.lifetime / 0.01) == round(scalar.lifetime / 0.01) == ticks
+        assert batched.complete and scalar.complete
+
+
+class TestGreedyProbe:
+    """The lower-bound probe reports the lifetimes of real schedules."""
+
+    PARAMS = (B1, B1.scaled(0.8), B1)
+
+    @pytest.mark.parametrize("model", ["analytical", "discrete"])
+    def test_probe_lifetimes_match_a_replay_of_their_schedules(
+        self, all_loads, model
+    ):
+        load = all_loads["ILs alt"]
+        ops = BatchOptimalScheduler(self.PARAMS, load, model=model)._ops
+        _, ready = ops.prepare(ops.root_batch(), float("-inf"))
+        for _depth in range(3):
+            slots = ready[0]
+            lower, tails = ops.greedy_lifetimes(slots)
+            for slot, lifetime, tail in zip(slots, lower, tails):
+                assignment = ops.trace.assignment(int(ops.pool.trace[slot]))
+                replay = simulate_policy(
+                    self.PARAMS,
+                    load,
+                    FixedAssignmentPolicy(assignment + tuple(tail)),
+                    backend=model,
+                ).lifetime_or_raise()
+                if model == "discrete":
+                    assert lifetime == replay
+                else:
+                    assert lifetime == pytest.approx(replay, abs=1e-9)
+            _, children = ops.branch(slots)
+            _, ready = ops.prepare(children, float("-inf"))
+
 
 class TestGroupSymmetry:
     """Group-wise symmetry reduction on fleets with identical subgroups.

@@ -594,6 +594,24 @@ class TestOptimalColumn:
         )
         assert small_optimal_spec().spec_hash() == base.spec_hash()
 
+    def test_search_revision_enters_the_hash(self, monkeypatch):
+        """Stores never serve an optimal column computed by an older search."""
+        import repro.sweep.spec as spec_module
+
+        spec = small_optimal_spec()
+        payload = spec.to_dict()["optimal"]
+        assert payload["revision"] == spec_module.OPTIMAL_SEARCH_REVISION
+        optimal_hash = spec.spec_hash()
+        assert SweepSpec.from_dict(spec.to_dict()).spec_hash() == optimal_hash
+        plain_hash = small_spec().spec_hash()
+        monkeypatch.setattr(
+            spec_module,
+            "OPTIMAL_SEARCH_REVISION",
+            spec_module.OPTIMAL_SEARCH_REVISION + 1,
+        )
+        assert spec.spec_hash() != optimal_hash
+        assert small_spec().spec_hash() == plain_hash
+
     def test_specs_without_optimal_ignore_the_optimal_settings(self):
         """Pre-optimal hashes must survive: old stores stay addressable."""
         import dataclasses
