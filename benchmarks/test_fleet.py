@@ -8,7 +8,10 @@ batteries.  This harness measures two things and records them in
   the 4- and 8-battery mixed-B1-scale fleets of the ``fleet``/``fleet-8``
   sweep specs, under the duty-cycled sensor load that drives both searches
   into their node budget, in expanded nodes per second
-  (``fleet4_nodes_per_sec``, ``fleet8_nodes_per_sec``);
+  (``fleet4_nodes_per_sec``, ``fleet8_nodes_per_sec``) and in seconds per
+  1500-node search (``fleet4_seconds_per_search``,
+  ``fleet8_seconds_per_search``) -- a bound that prunes more changes what
+  each node costs, so nodes per second alone can mislead;
 * **group-wise symmetry pruning** -- certified searches on fleets with
   identical subgroups (2+2, 3+1 and 4+4), with the group-wise symmetry
   reduction on vs off, recorded as the expanded-node ratio
@@ -76,17 +79,19 @@ def test_fleet_node_throughput(benchmark):
     result4 = benchmark.pedantic(
         fleet4_search, rounds=3, iterations=1, warmup_rounds=1
     )
-    seconds4 = benchmark.stats.stats.min
+    samples4 = list(benchmark.stats.stats.data)
+    seconds4 = min(samples4)
     rate4 = result4.nodes_expanded / seconds4
 
     # The 8-battery side: one warmup, then the best of two timed repeats
     # (one pedantic call per test; mirrors the min-of-rounds treatment).
     fleet8_search()
-    seconds8 = float("inf")
+    samples8 = []
     for _ in range(2):
         start = time.perf_counter()
         result8 = fleet8_search()
-        seconds8 = min(seconds8, time.perf_counter() - start)
+        samples8.append(time.perf_counter() - start)
+    seconds8 = min(samples8)
     rate8 = result8.nodes_expanded / seconds8
 
     # Both widths did exactly the budgeted amount of expansion work.
@@ -104,12 +109,17 @@ def test_fleet_node_throughput(benchmark):
             "fleet8_batteries": "4 x B1x0.5 + 4 x B1x0.375",
             "fleet4_nodes_per_sec": round(rate4, 1),
             "fleet8_nodes_per_sec": round(rate8, 1),
-        }
+            "fleet4_seconds_per_search": round(seconds4, 4),
+            "fleet8_seconds_per_search": round(seconds8, 4),
+        },
+        timings={"fleet4_search": samples4, "fleet8_search": samples8},
     )
     emit(
         "Fleet extension -- batched optimal search throughput at fleet width",
-        f"4-battery fleet: {rate4:10.1f} nodes/sec\n"
-        f"8-battery fleet: {rate8:10.1f} nodes/sec -> BENCH_fleet.json",
+        f"4-battery fleet: {rate4:10.1f} nodes/sec, {seconds4:.3f} s per "
+        f"{MEASURE_NODES}-node search\n"
+        f"8-battery fleet: {rate8:10.1f} nodes/sec, {seconds8:.3f} s per "
+        f"{MEASURE_NODES}-node search -> BENCH_fleet.json",
     )
 
 

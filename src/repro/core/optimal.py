@@ -400,6 +400,8 @@ class OptimalScheduler:
         self.dominance_tolerance = dominance_tolerance
         self._epochs = load.epochs
         self._epoch_starts = load.epoch_start_times()
+        self._epoch_currents = [epoch.current for epoch in self._epochs]
+        self._epoch_durations = [epoch.duration for epoch in self._epochs]
         self.use_symmetry = use_symmetry
         #: Per-battery symmetry-group ids: batteries in the same group are
         #: interchangeable (identical model type + parameters).  With
@@ -545,8 +547,8 @@ class OptimalScheduler:
         # Bound pruning: the system cannot outlive the perfect-pooling bound
         # (or, failing that, the point where cumulative demand exceeds the
         # total remaining charge).
-        bound_needed = self._best_lifetime - time
-        if self._remaining_lifetime_bound(states, epoch_index, offset) <= bound_needed + _TIME_EPSILON:
+        cutoff = self._best_lifetime - time + _TIME_EPSILON
+        if self._remaining_lifetime_bound(states, epoch_index, offset, cutoff) <= cutoff:
             return
 
         # Dominance pruning among states reaching the same decision point.
@@ -629,16 +631,21 @@ class OptimalScheduler:
         states: Sequence[Any],
         epoch_index: int,
         offset: float,
+        cutoff: float = float("-inf"),
     ) -> float:
         """Admissible upper bound on the remaining system lifetime.
 
         With KiBaM-shaped batteries sharing ``c``/``k'`` this is the
         perfect-pooling bound refined by the recovery-limited bound of
         :mod:`repro.kibam.bounds` (never looser, often tighter near the
-        endgame); otherwise the total-charge fallback.
+        endgame); otherwise the total-charge fallback.  A pooled bound at
+        or below ``cutoff`` is returned unrefined: the refinement never
+        exceeds it, so the node is pruned either way.
         """
         if self._pooled_params is not None:
             bound = self._pooled_bound(states, epoch_index, offset)
+            if bound <= cutoff:
+                return bound
             refined = self._recovery_limited_bound(states, epoch_index, offset)
             if refined is not None and refined < bound:
                 return refined
@@ -764,10 +771,15 @@ class OptimalScheduler:
         def solver(p, g, d, current, horizon):
             return time_to_empty(p, KibamState(gamma=g, delta=d), current, horizon=horizon)
 
-        currents = [epoch.current for epoch in self._epochs]
-        durations = [epoch.duration for epoch in self._epochs]
         table = build_pooled_job_table(
-            params, currents, durations, epoch_index, offset, gamma, delta, solver
+            params,
+            self._epoch_currents,
+            self._epoch_durations,
+            epoch_index,
+            offset,
+            gamma,
+            delta,
+            solver,
         )
         if len(self._job_table_cache) >= _BOUND_CACHE_LIMIT:
             self._job_table_cache.clear()

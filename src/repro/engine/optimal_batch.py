@@ -104,7 +104,11 @@ from repro.engine.kernels import (
     time_to_empty_array,
     total_charge_array,
 )
-from repro.kibam.bounds import build_pooled_job_table, recovery_limited_refinements
+from repro.kibam.bounds import (
+    build_pooled_job_table,
+    recovery_limited_refinements,
+    segments_may_cross,
+)
 from repro.kibam.discrete import discharge_spec_for, duration_ticks
 from repro.kibam.parameters import BatteryParameters
 from repro.workloads.load import Load
@@ -683,12 +687,18 @@ class _BoundEvaluator:
                     continue
             cur = self.currents[e[act]]
             dur = self.durations[e[act]] - off[act]
-            crossing, crossed = time_to_empty_array(
-                c, k_prime, g[act], d[act], cur, dur
+            # Only segments the screen cannot clear go to the solver.
+            ask = np.flatnonzero(
+                segments_may_cross(c, k_prime, g[act], d[act], cur, dur)
             )
-            hit = act[crossed]
-            if hit.size:
-                bound[hit] = (elapsed[hit] + crossing[crossed]) * scale
+            crossed = np.zeros(act.shape[0], dtype=bool)
+            if ask.size:
+                crossing, hit_mask = time_to_empty_array(
+                    c, k_prime, g[act[ask]], d[act[ask]], cur[ask], dur[ask]
+                )
+                crossed[ask] = hit_mask
+                hit = act[ask[hit_mask]]
+                bound[hit] = (elapsed[hit] + crossing[hit_mask]) * scale
                 done[hit] = True
             go = act[~crossed]
             if go.size:
@@ -836,7 +846,8 @@ class _BatteryModel:
       sorts on;
     * :meth:`serve` and :meth:`idle` -- the two battery advances;
     * :meth:`remaining_bounds` and :meth:`matrices` -- the admissible
-      remaining-lifetime bound and the dominance matrices;
+      remaining-lifetime bound (tight only where it matters: on rows that
+      survive the bound prune at ``cutoff``) and the dominance matrices;
 
     and :class:`_SearchDriver` runs the search on them, once for both.
     """
@@ -907,11 +918,14 @@ class _AnalyticalModel(_BatteryModel):
         )
         return np.where(empty[:, :, None], state, new)
 
-    def remaining_bounds(self, state, alive, epoch, offset):
+    def remaining_bounds(self, state, alive, epoch, offset, elapsed, cutoff):
         """Remaining-lifetime bound in minutes per node.
 
         The pooling bound refined by the recovery-limited bound, or the
-        total-charge bound when the batteries do not pool.
+        total-charge bound when the batteries do not pool.  Only rows whose
+        pooled bound survives the prune (``elapsed + pooled > cutoff``) are
+        refined: the refinement never exceeds the pooled bound, so a row
+        the pooled bound cuts stays cut either way.
         """
         if self.bounds.pooled is None:
             total = np.where(alive, total_charge_array(state), 0.0).sum(axis=1)
@@ -919,10 +933,22 @@ class _AnalyticalModel(_BatteryModel):
         gamma = np.where(alive, state[:, :, GAMMA], 0.0).sum(axis=1)
         delta = np.where(alive, state[:, :, DELTA], 0.0).sum(axis=1)
         pooled = self.bounds.pooled_bounds(gamma, delta, epoch, offset)
+        rows = np.flatnonzero(elapsed + pooled > cutoff)
+        if rows.size == 0:
+            return pooled
+        state = state[rows]
         y1 = self.kp.c * empty_margin_array(self.kp, state)
-        return self.bounds.recovery_limited_bounds(
-            pooled, gamma, delta, epoch, offset, y1, state[:, :, GAMMA] - y1, alive
+        pooled[rows] = self.bounds.recovery_limited_bounds(
+            pooled[rows],
+            gamma[rows],
+            delta[rows],
+            epoch[rows],
+            offset[rows],
+            y1,
+            state[:, :, GAMMA] - y1,
+            alive[rows],
         )
+        return pooled
 
     def matrices(self, state: np.ndarray, empty: np.ndarray) -> np.ndarray:
         """The scalar search's dominance matrices, one ``(B, 3)`` per node."""
@@ -1041,13 +1067,14 @@ class _DiscreteModel(_BatteryModel):
             )
         return out
 
-    def remaining_bounds(self, state, alive, epoch, offset):
+    def remaining_bounds(self, state, alive, epoch, offset, elapsed, cutoff):
         """Slack-inflated pooling (or total-charge) bound in minutes per node.
 
         No recovery-limited refinement here: the chain-feasibility argument
         holds for the continuous dynamics only, and dKiBaM tick rounding can
         keep a marginal burst alive that the continuous threshold rules out
-        (see ``OptimalScheduler._recovery_limited_bound``).
+        (see ``OptimalScheduler._recovery_limited_bound``).  So there is no
+        refinement for ``elapsed`` / ``cutoff`` to skip.
         """
         gamma = np.where(alive, state[:, :, _N] * self.charge_unit, 0.0).sum(axis=1)
         if self.bounds.pooled is None:
@@ -1258,11 +1285,14 @@ class _SearchDriver:
         if live.size == 0:
             return candidates, None
 
+        elapsed = time[live] * unit
+        cutoff = best_lifetime + _TIME_EPSILON
         remaining = model.remaining_bounds(
-            state[live], alive[any_alive], epoch[live], offset[live] * unit
+            state[live], alive[any_alive], epoch[live], offset[live] * unit,
+            elapsed, cutoff,
         )
-        totals = time[live] * unit + remaining
-        keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
+        totals = elapsed + remaining
+        keep = np.flatnonzero(totals > cutoff)
         if keep.size == 0:
             return candidates, None
         kept = live[keep]

@@ -73,6 +73,29 @@ Everything here is expressed in the transformed analytical coordinates;
 discrete searches inflate the result by their documented
 ``discrete_bound_slack_for`` margin exactly as they inflate the pooled
 bound.
+
+**What the layer skips, exactly.**  Fleet searches evaluate these bounds
+for thousands of nodes per round, so the layer avoids work it can prove
+changes nothing:
+
+* *Crossing screens.*  A pooled walk asks a crossing solver about every
+  load segment, but almost no segment holds the crossing.
+  :func:`segment_may_cross` (one segment, plain floats) and
+  :func:`segments_may_cross` (arrays) clear a segment when its margin at
+  the solver's own bracket end is positive by a relative ``1e-9`` -- far
+  above the last-bit differences between the solvers -- so the solver runs
+  only where it can report a crossing, and every table and pooled bound is
+  bit for bit what asking the solver everywhere gives.
+  :func:`build_pooled_job_table` screens each segment; the batched
+  search's pooled walk screens all rows of an epoch step at once.
+* *Refining only survivors.*  The refinement never exceeds the pooled
+  bound, so both searches compute it only for nodes the pooled bound does
+  not already prune.
+* *One-pass tail.*  :func:`recovery_limited_refinements` deduplicates the
+  stranded-charge tails of a group through the table's memo and solves the
+  rest together: one ``(rows, segments)`` sweep finds each row's crossing
+  segment, and a closed-form Lambert-W root places the crossing there (see
+  :func:`_tail_crossings`), nudged up to where the margin is positive.
 """
 
 from __future__ import annotations
@@ -82,6 +105,7 @@ import math
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from repro.kibam.parameters import BatteryParameters
 
@@ -90,19 +114,78 @@ __all__ = [
     "burst_survival_coefficients",
     "build_pooled_job_table",
     "recovery_limited_refinements",
+    "segment_may_cross",
+    "segments_may_cross",
 ]
 
 #: Feasibility comparisons err on the side of "feasible" by this margin so
 #: float noise can only weaken (never unsoundly tighten) the bound.
 _FEASIBILITY_EPSILON = 1e-9
 
-#: Bisection iterations for the demand-vs-envelope crossing (the bracket is
-#: at most one load segment, so 60 halvings reach ~1e-12 minutes).
-_BISECT_ITERATIONS = 60
+#: Relative margin by which a segment's end margin must clear zero for the
+#: crossing screens to skip the solver (scaled by ``|gamma| + |delta| + 1``).
+_SCREEN_TOLERANCE = 1e-9
+
+#: First upward step (minutes) that moves a closed-form tail crossing off
+#: the rounding noise to where the margin is positive; it doubles per step.
+_TAIL_NUDGE = 1e-13
 
 #: Per-table memo cap for tail-crossing results (clear-on-overflow, same
 #: policy as the searches' bound caches).
 _TAIL_CACHE_LIMIT = 65536
+
+
+def segment_may_cross(
+    c: float,
+    k_prime: float,
+    gamma: float,
+    delta: float,
+    current: float,
+    horizon: float,
+) -> bool:
+    """Whether one constant-current segment can hold the empty crossing.
+
+    ``False`` is a proof that every crossing solver of the searches --
+    :func:`repro.kibam.lifetime.time_to_empty` and
+    :func:`repro.engine.kernels.time_to_empty_array` -- reports *no*
+    crossing for the segment: the start margin is positive and the current
+    is zero, or the margin at the solvers' own bracket end ``min(gamma/I,
+    horizon)``, computed with the kernels' formula, clears zero by
+    :data:`_SCREEN_TOLERANCE` (relative), far above the last-bit
+    differences between ``math.exp`` and ``np.exp``.  ``True`` means "ask
+    the solver".
+    """
+    if gamma - (1.0 - c) * delta <= 0.0:
+        return True
+    if current <= 0.0:
+        return False
+    t = min(gamma / current, horizon)
+    decay = math.exp(-k_prime * t)
+    delta_inf = current / (c * k_prime)
+    margin = (gamma - current * t) - (1.0 - c) * (delta_inf + (delta - delta_inf) * decay)
+    return margin <= _SCREEN_TOLERANCE * (abs(gamma) + abs(delta) + 1.0)
+
+
+def segments_may_cross(
+    c: float,
+    k_prime: float,
+    gamma: np.ndarray,
+    delta: np.ndarray,
+    current: np.ndarray,
+    horizon: np.ndarray,
+) -> np.ndarray:
+    """:func:`segment_may_cross` for arrays of segments, one mask entry each."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.minimum(gamma / current, horizon)
+        decay = np.exp(-k_prime * t)
+        delta_inf = current / (c * k_prime)
+        margin = (gamma - current * t) - (1.0 - c) * (
+            delta_inf + (delta - delta_inf) * decay
+        )
+    slack = _SCREEN_TOLERANCE * (np.abs(gamma) + np.abs(delta) + 1.0)
+    return (gamma - (1.0 - c) * delta <= 0.0) | (
+        (current > 0.0) & (margin <= slack)
+    )
 
 
 def burst_survival_coefficients(
@@ -145,14 +228,24 @@ class PooledJobTable:
     seg_end: np.ndarray
     #: Cumulative demand (Amin) from the decision point to each seg start.
     seg_demand: np.ndarray
-    #: Job rows: start time, current, duration, pooled wells at start.
-    job_start: np.ndarray
+    #: Tail-crossing columns: each segment's end time, the cumulative demand
+    #: there (``-inf`` for idle segments, which never hold a tail crossing)
+    #: and ``e^{-k'c t}`` there, plus a final sentinel column that always
+    #: holds a crossing.
+    tail_end: np.ndarray
+    tail_demand: np.ndarray
+    tail_fade: np.ndarray
+    #: Job rows: ``e^{-k'c s}`` at the job start ``s``, the burst threshold
+    #: ``(A, B)``, the pooled wells at the job start, and the stranded-charge
+    #: tail's deadline ``min(job end, crossing)`` with ``e^{-k'c t}`` there.
+    job_fade: np.ndarray
     job_a: np.ndarray
     job_b: np.ndarray
-    job_end: np.ndarray
     job_y1_pool: np.ndarray
     job_y2_pool: np.ndarray
-    #: Memo for ``_tail_crossing`` results; nodes at the same decision point
+    job_deadline: np.ndarray
+    job_deadline_fade: np.ndarray
+    #: Memo for ``_tail_crossings`` results; nodes at the same decision point
     #: frequently share well totals, so the solve is worth deduplicating.
     tail_cache: dict = dataclasses.field(default_factory=dict)
 
@@ -175,12 +268,15 @@ def build_pooled_job_table(
     """
     c = params.c
     k_prime = params.k_prime
+    kc = k_prime * c
     elapsed = 0.0
     demand = 0.0
     seg_start = []
     seg_current = []
     seg_end = []
     seg_demand = []
+    tail_demand = []
+    tail_fade = []
     job_start = []
     job_a = []
     job_b = []
@@ -193,92 +289,125 @@ def build_pooled_job_table(
         duration = float(durations[index]) - (offset if index == epoch_index else 0.0)
         if duration <= 0.0:
             continue
+        end = elapsed + duration
         seg_start.append(elapsed)
         seg_current.append(current)
-        seg_end.append(elapsed + duration)
+        seg_end.append(end)
         seg_demand.append(demand)
+        tail_fade.append(math.exp(-kc * end))
         if current > 0.0:
+            tail_demand.append(demand + current * (end - elapsed))
             y1 = c * (gamma - (1.0 - c) * delta)
             y2 = gamma - y1
             a, b = burst_survival_coefficients(c, k_prime, current, duration)
             job_start.append(elapsed)
             job_a.append(a)
             job_b.append(b)
-            job_end.append(elapsed + duration)
+            job_end.append(end)
             job_y1.append(y1)
             job_y2.append(y2)
-        hit = time_to_empty_fn(params, gamma, delta, current, duration)
-        if hit is not None:
-            crossing = elapsed + hit
-            break
+        else:
+            tail_demand.append(-math.inf)
+        if segment_may_cross(c, k_prime, gamma, delta, current, duration):
+            hit = time_to_empty_fn(params, gamma, delta, current, duration)
+            if hit is not None:
+                crossing = elapsed + hit
+                break
         decay = math.exp(-k_prime * duration)
         delta = current / (c * k_prime) + (delta - current / (c * k_prime)) * decay
         gamma = gamma - current * duration
-        elapsed += duration
+        elapsed = end
         demand += current * duration
     if crossing is None:
         crossing = elapsed
+    job_deadline = [min(end, crossing) for end in job_end]
+
+    def array(values):
+        return np.asarray(values, dtype=np.float64)
+
     return PooledJobTable(
         crossing=crossing,
-        seg_start=np.asarray(seg_start, dtype=np.float64),
-        seg_current=np.asarray(seg_current, dtype=np.float64),
-        seg_end=np.asarray(seg_end, dtype=np.float64),
-        seg_demand=np.asarray(seg_demand, dtype=np.float64),
-        job_start=np.asarray(job_start, dtype=np.float64),
-        job_a=np.asarray(job_a, dtype=np.float64),
-        job_b=np.asarray(job_b, dtype=np.float64),
-        job_end=np.asarray(job_end, dtype=np.float64),
-        job_y1_pool=np.asarray(job_y1, dtype=np.float64),
-        job_y2_pool=np.asarray(job_y2, dtype=np.float64),
+        seg_start=array(seg_start),
+        seg_current=array(seg_current),
+        seg_end=array(seg_end),
+        seg_demand=array(seg_demand),
+        tail_end=array(seg_end + [math.inf]),
+        tail_demand=array(tail_demand + [math.inf]),
+        tail_fade=array(tail_fade + [0.0]),
+        job_fade=np.exp(-kc * array(job_start)),
+        job_a=array(job_a),
+        job_b=array(job_b),
+        job_y1_pool=array(job_y1),
+        job_y2_pool=array(job_y2),
+        job_deadline=array(job_deadline),
+        job_deadline_fade=array([math.exp(-kc * t) for t in job_deadline]),
     )
 
 
-def _tail_crossing(
+def _tail_crossings(
     table: PooledJobTable,
     kc: float,
-    y1_total: float,
-    y2_total: float,
-    y2_min: float,
-    deadline: float,
-) -> float:
+    y1_total: np.ndarray,
+    y2_total: np.ndarray,
+    y2_min: np.ndarray,
+    first_bad: np.ndarray,
+) -> np.ndarray:
     """First ``t >= deadline`` where cumulative demand beats the envelope.
 
-    The envelope is ``Y1 + Y2 (1 - e^{-kc t}) - y2_min (e^{-kc deadline} -
-    e^{-kc t})``; within one load segment the demand-minus-envelope margin
-    is convex, so a segment contains a crossing iff the margin at its end
-    is positive, and the crossing is the unique sign change before it.
-    Returns ``table.crossing`` when the demand never catches the envelope
-    (the pooled bound then stands un-refined).
+    One row per node, all solved together; ``deadline`` is
+    ``table.job_deadline[first_bad]``, the end of the node's first job
+    that no battery can serve whole.  The envelope is ``Y1 + Y2 (1 -
+    e^{-kc t}) - y2_min (e^{-kc deadline} - e^{-kc t})``.  At the deadline
+    the demand cannot exceed it (the pooled battery is still alive there),
+    and within one segment the demand-minus-envelope margin ``q + I x + S
+    e^{-kc x}`` (``x`` from the segment's low end, ``S >= 0``) is convex and
+    falls while the load idles, so the crossing lies in the first job
+    segment past the deadline whose end margin is positive.  Its root is
+    the closed form ``x = W0(-(kc S / I) e^{kc q / I}) / kc - q / I`` (the
+    principal Lambert-W branch is the rising root).  The returned time is
+    the upper end of a bracket around that root: nudged up until the margin
+    there is positive, so the bound stays admissible.  Rows whose demand
+    never catches the envelope get ``table.crossing`` (the pooled bound
+    then stands un-refined).
     """
     # margin(t) = demand(t) - envelope(t)
     #           = (base + current (t - seg_start)) - flat + sag * e^{-kc t}
     # with flat = Y1 + Y2 - y2_min e^{-kc deadline} and sag = Y2 - y2_min.
-    flat = y1_total + y2_total - y2_min * math.exp(-kc * deadline)
+    deadline = table.job_deadline[first_bad]
+    flat = y1_total + y2_total - y2_min * table.job_deadline_fade[first_bad]
     sag = y2_total - y2_min
-    exp = math.exp
-    for seg in range(table.seg_start.shape[0]):
-        end = float(table.seg_end[seg])
-        if end <= deadline:
-            continue
-        seg_t0 = float(table.seg_start[seg])
-        start = max(seg_t0, deadline)
-        current = float(table.seg_current[seg])
-        base = float(table.seg_demand[seg])
-        m_start = base + current * (start - seg_t0) - flat + sag * exp(-kc * start)
-        if m_start > 0.0:
-            return start
-        m_end = base + current * (end - seg_t0) - flat + sag * exp(-kc * end)
-        if m_end <= 0.0:
-            continue
-        lo, hi = start, end
-        for _ in range(_BISECT_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            if base + current * (mid - seg_t0) - flat + sag * exp(-kc * mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    return table.crossing
+    m_end = table.tail_demand - flat[:, None] + sag[:, None] * table.tail_fade
+    seg = ((m_end > 0.0) & (table.tail_end > deadline[:, None])).argmax(axis=1)
+    out = np.empty(seg.shape[0])
+    out.fill(table.crossing)
+    rows = (seg < table.seg_end.shape[0]).nonzero()[0]
+    if rows.size == 0:
+        return out
+    seg = seg[rows]
+    flat = flat[rows]
+    sag = sag[rows]
+    t0 = table.seg_start[seg]
+    hi = table.seg_end[seg]
+    base = table.seg_demand[seg]
+    rise = table.seg_current[seg]
+    lo = np.maximum(t0, deadline[rows])
+    # The margin from the low end: q + I x + S e^{-kc x}.
+    q = base + rise * (lo - t0) - flat
+    ratio = q / rise
+    lambert = special.lambertw((sag * (-kc / rise)) * np.exp(kc * (ratio - lo))).real
+    t = np.minimum(np.maximum(lo + (lambert / kc - ratio) + _TAIL_NUDGE, lo), hi)
+    # Any time with a positive margin is at or past the first crossing, so
+    # nudging up to one keeps the bound admissible, also where rounding put
+    # the Lambert-W argument just below -1/e (a tangential root).
+    nudge = _TAIL_NUDGE
+    while True:
+        low = base + rise * (t - t0) - flat + sag * np.exp(-kc * t) <= 0.0
+        if not low.any():
+            break
+        nudge *= 2.0
+        t = np.where(low, np.minimum(t + nudge, hi), t)
+    out[rows] = np.minimum(t, table.crossing)
+    return out
 
 
 def recovery_limited_refinements(
@@ -308,54 +437,71 @@ def recovery_limited_refinements(
         raise ValueError(
             "y1, y2 and alive must share one (n_nodes, n_batteries) shape"
         )
-    n_nodes = y1.shape[0]
-    out = np.full(n_nodes, table.crossing)
-    n_jobs = table.job_start.shape[0]
-    if n_jobs == 0:
+    out = np.empty(y1.shape[0])
+    out.fill(table.crossing)
+    if table.job_fade.shape[0] == 0:
         return out
-    kc = params.k_prime * params.c
 
-    y1 = np.where(alive, y1, 0.0)
-    y2 = np.where(alive, y2, 0.0)
-    n_alive = alive.sum(axis=1)
-
-    # (J,) job-shared factors.
-    fade = np.exp(-kc * table.job_start)  # e^{-k'c s_j}
+    # Dead batteries hold nothing (a signed zero changes no sum or test).
+    y1 = y1 * alive
+    y2 = y2 * alive
     # (N, J, B) sound caps on each battery's wells at each job start.
-    y2_fade = y2[:, None, :] * fade[None, :, None]
+    fade = table.job_fade[None, :, None]  # e^{-k'c s_j}
+    y2_node = y2[:, None, :]
+    y2_fade = y2_node * fade
     others_floor = y2_fade.sum(axis=2, keepdims=True) - y2_fade
-    y2_cap = np.minimum(
-        y2[:, None, :], table.job_y2_pool[None, :, None] - others_floor
-    )
+    y2_cap = np.minimum(y2_node, table.job_y2_pool[None, :, None] - others_floor)
     y1_cap = np.minimum(
-        table.job_y1_pool[None, :, None],
-        y1[:, None, :] + y2[:, None, :] * (1.0 - fade[None, :, None]),
+        table.job_y1_pool[None, :, None], y1[:, None, :] + y2_node * (1.0 - fade)
     )
     required = table.job_a[None, :, None] - table.job_b[None, :, None] * y2_cap
     feasible = (y1_cap >= required - _FEASIBILITY_EPSILON) & alive[:, None, :]
     job_ok = feasible.any(axis=2)  # (N, J)
 
-    infeasible_any = ~job_ok.all(axis=1)
-    y2_min = np.where(alive, y2, np.inf).min(axis=1)
-    for node in np.flatnonzero(infeasible_any & (n_alive >= 2)):
-        first_bad = int(np.argmin(job_ok[node]))
-        y1_total = float(y1[node].sum())
-        y2_total = float(y2[node].sum())
-        y2_node_min = float(y2_min[node])
-        key = (
-            first_bad,
-            round(y1_total, 12),
-            round(y2_total, 12),
-            round(y2_node_min, 12),
+    # Rows where some job has no server and at least two batteries live.
+    rows = (~job_ok.all(axis=1) & (alive.sum(axis=1) >= 2)).nonzero()[0]
+    if rows.size == 0:
+        return out
+    first_bad = job_ok.argmin(axis=1)[rows]
+    y1_total = y1.sum(axis=1)[rows]
+    y2_total = y2.sum(axis=1)[rows]
+    y2_node_min = y2.min(axis=1, where=alive, initial=np.inf)[rows]
+    keys = [
+        (bad, round(t1, 12), round(t2, 12), round(low, 12))
+        for bad, t1, t2, low in zip(
+            first_bad.tolist(),
+            y1_total.tolist(),
+            y2_total.tolist(),
+            y2_node_min.tolist(),
         )
-        tail = table.tail_cache.get(key)
-        if tail is None:
-            deadline = min(float(table.job_end[first_bad]), table.crossing)
-            tail = _tail_crossing(
-                table, kc, y1_total, y2_total, y2_node_min, deadline
-            )
-            if len(table.tail_cache) >= _TAIL_CACHE_LIMIT:
-                table.tail_cache.clear()
-            table.tail_cache[key] = tail
-        out[node] = min(table.crossing, tail)
+    ]
+    # Memo lookups first; the misses (one row per distinct key) are then
+    # solved together.
+    cache = table.tail_cache
+    tails: dict = {}
+    pending: dict = {}
+    for i, key in enumerate(keys):
+        if key in tails or key in pending:
+            continue
+        cached = cache.get(key)
+        if cached is None:
+            pending[key] = i
+        else:
+            tails[key] = cached
+    if pending:
+        solve = np.fromiter(pending.values(), dtype=np.int64, count=len(pending))
+        solved = _tail_crossings(
+            table,
+            params.k_prime * params.c,
+            y1_total[solve],
+            y2_total[solve],
+            y2_node_min[solve],
+            first_bad[solve],
+        )
+        for key, tail in zip(pending, solved.tolist()):
+            tails[key] = tail
+            if len(cache) >= _TAIL_CACHE_LIMIT:
+                cache.clear()
+            cache[key] = tail
+    out[rows] = [tails[key] for key in keys]
     return out

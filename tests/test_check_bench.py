@@ -218,3 +218,49 @@ class TestRecordMetadata:
         monkeypatch.delenv(bench.RECORD_ENV, raising=False)
         bench.write_bench_record("BENCH_x.json", {"speedup": 2.0})
         assert not (tmp_path / "BENCH_x.json").exists()
+
+    def test_timings_record_repeat_count_and_spread(self, tmp_path, monkeypatch):
+        import benchmarks.conftest as bench
+
+        monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
+        monkeypatch.setenv(bench.RECORD_ENV, "1")
+        bench.write_bench_record(
+            "BENCH_x.json", {"rate": 5.0}, timings={"search": [0.2, 0.1, 0.3]}
+        )
+        # A second harness of the same record adds its own entry ...
+        bench.write_bench_record(
+            "BENCH_x.json", {"ratio": 2.0}, timings={"other": [1.0, 1.5]}
+        )
+        # ... and a write without samples keeps both.
+        bench.write_bench_record("BENCH_x.json", {"more": 1})
+        timings = json.loads((tmp_path / "BENCH_x.json").read_text())["meta"][
+            "timings"
+        ]
+        assert timings["search"] == {
+            "repeats": 3, "min_s": 0.1, "median_s": 0.2, "spread": 1.0
+        }
+        assert timings["other"] == {
+            "repeats": 2, "min_s": 1.0, "median_s": 1.25, "spread": 0.25
+        }
+
+    def test_timing_summary_needs_a_sample(self):
+        import benchmarks.conftest as bench
+
+        with pytest.raises(ValueError):
+            bench.timing_summary([])
+
+    def test_gate_reads_ratios_not_the_meta_block(self, check_bench, tmp_path):
+        """A record's timing metadata never enters the gate's decision."""
+        write_records(tmp_path / "fresh", all_checks(check_bench, 20.0))
+        write_records(tmp_path / "base", all_checks(check_bench, 20.0))
+        for name, _ in check_bench.CHECKS:
+            path = tmp_path / "fresh" / name
+            record = json.loads(path.read_text())
+            record["meta"] = {
+                "timings": {"search": {"repeats": 3, "min_s": 9.0, "spread": 5.0}}
+            }
+            path.write_text(json.dumps(record))
+        assert check_bench.main(
+            ["--fresh-dir", str(tmp_path / "fresh"),
+             "--baseline-dir", str(tmp_path / "base")]
+        ) == 0

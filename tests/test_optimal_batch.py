@@ -365,6 +365,61 @@ class TestFleetParity:
             assert optimal.lifetime >= heuristic - 1e-9, policy
 
 
+#: Capped fleet searches (batched, analytical, ``max_nodes=300``, tolerance
+#: 0.01) on the ``fleet`` / ``fleet-8`` sweep loads, pinned exactly:
+#: (fleet, load, lifetime, assignment, nodes_expanded, complete).
+CAPPED_FLEET_PINS = (
+    ("fleet4 2+2", "MMPP 500", 5.2486857082644125, (2, 3, 0, 1, 3), 26, True),
+    ("fleet4 2+2", "DCS 500", 42.58529230952718,
+     (0, 1, 0, 1, 1, 2, 1, 3, 1, 0, 3, 0, 3, 1, 2, 3, 1, 0, 1, 3, 1, 3, 3, 2,
+      0, 3, 0, 1, 3, 0, 3, 0, 3, 3, 3, 3), 300, False),
+    ("fleet4 2+2", "Trace mix", 5.584362851573667, (2, 3, 0, 1, 0, 1), 22, True),
+    ("fleet4 3+1", "MMPP 500", 5.329007125874044, (3, 0, 1, 2, 0), 17, True),
+    ("fleet4 3+1", "DCS 500", 38.66816005290334,
+     (0, 1, 2, 0, 1, 0, 1, 1, 2, 1, 1, 0, 1, 1, 2, 1, 1, 0, 1, 3, 1, 2, 2, 2,
+      3, 0, 2, 0, 2, 0, 0, 0, 0), 300, False),
+    ("fleet4 3+1", "Trace mix", 5.589215975415982, (3, 0, 1, 2, 1, 2), 16, True),
+    ("fleet8 4+4", "MMPP 500", 10.10954542300189,
+     (4, 5, 6, 7, 0, 1, 2, 3, 5, 3), 300, False),
+)
+
+
+class TestCappedFleetPins:
+    """A capped search's result depends on every pruning decision, so the
+    smallest change in a bound can move it; these pins make any such move
+    visible (bound refactors must keep them bit for bit)."""
+
+    @pytest.fixture(scope="class")
+    def fleet_points(self):
+        from repro.sweep.builtin import builtin_specs
+
+        specs = builtin_specs()
+        return {
+            (point.battery_label, point.load_label): point
+            for name in ("fleet", "fleet-8")
+            for point in specs[name].expand()
+        }
+
+    @pytest.mark.parametrize(
+        "fleet,load,lifetime,assignment,nodes,complete",
+        CAPPED_FLEET_PINS,
+        ids=[f"{pin[0]}/{pin[1]}" for pin in CAPPED_FLEET_PINS],
+    )
+    def test_capped_result_is_pinned(
+        self, fleet_points, fleet, load, lifetime, assignment, nodes, complete
+    ):
+        point = fleet_points[(fleet, load)]
+        result = find_optimal_schedule_batched(
+            point.battery_params, point.load, max_nodes=300, dominance_tolerance=0.01
+        )
+        assert (
+            repr(result.lifetime),
+            result.assignment,
+            result.nodes_expanded,
+            result.complete,
+        ) == (repr(lifetime), assignment, nodes, complete)
+
+
 class TestDominanceAblation:
     def small_load(self):
         epochs = tuple(
@@ -1068,6 +1123,8 @@ class TestBoundCacheCaps:
         assert len(evaluator._job_tables) <= self.CAP
         for table in evaluator._job_tables.values():
             assert len(table.tail_cache) <= self.CAP
+        # The tail memo was exercised, so the cap check above is not vacuous.
+        assert any(table.tail_cache for table in evaluator._job_tables.values())
 
     def test_scalar_caches_honor_the_cap_with_unchanged_results(
         self, all_loads, monkeypatch
