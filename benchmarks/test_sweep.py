@@ -9,9 +9,16 @@ reads) -- and records the rates in ``BENCH_sweep.json`` next to
 tracked PR over PR.
 
 The acceptance bar of the sweep PR -- an immediate re-run at least 10x
-faster than the cold run -- is asserted here (observed: well above 20x on a
+faster than the cold run -- is asserted here (observed: above 20x on a
 quiet single core; wall-clock ratios on shared runners are noisy, so the
 hard gate sits at the bar itself rather than the observed headroom).
+
+The CI gate (``scripts/check_bench.py``) does not use that ratio: its
+denominator, the cold run, is the very path the engine work speeds up, so a
+faster cold sweep would read as a cache regression.  The gated ratio is
+``cache_hit_vs_scalar`` -- the scalar simulator's time on a fixed subset of
+the same loads over the cache-hit time -- whose denominator only moves when
+the scalar reference does.
 """
 
 import time
@@ -19,6 +26,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, write_bench_record
+from repro.core.simulator import simulate_policy
 from repro.kibam.parameters import B1
 from repro.sweep import BatteryConfig, LoadAxis, ResultStore, SweepRunner, SweepSpec
 from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
@@ -35,6 +43,20 @@ def test_sweep_throughput_and_cache_speedup(benchmark, tmp_path):
     )
     runner = SweepRunner(ResultStore(tmp_path / "store"))
 
+    # Scalar reference on the first ``scalar_subset`` loads, timed once
+    # before every cache-hit round (untimed by the benchmark), so a change
+    # of machine speed during the run moves both sides of the ratio.
+    scalar_subset = 40
+    subset = [point.load for point in spec.expand()[:scalar_subset]]
+    scalar_samples = []
+
+    def timed_scalar_sweep():
+        start = time.perf_counter()
+        for policy in spec.policies:
+            for load in subset:
+                simulate_policy([B1, B1], load, policy)
+        scalar_samples.append(time.perf_counter() - start)
+
     start = time.perf_counter()
     cold = runner.run(spec)
     cold_seconds = time.perf_counter() - start
@@ -43,8 +65,13 @@ def test_sweep_throughput_and_cache_speedup(benchmark, tmp_path):
     def warm_run():
         return runner.run(spec)
 
-    warm = benchmark.pedantic(warm_run, rounds=3, iterations=1, warmup_rounds=1)
-    warm_seconds = benchmark.stats.stats.min
+    warm = benchmark.pedantic(
+        warm_run, setup=timed_scalar_sweep, rounds=15, iterations=1, warmup_rounds=1
+    )
+    warm_samples = list(benchmark.stats.stats.data)
+    warm_seconds = min(warm_samples)
+    del scalar_samples[0]  # the scalar sweep's own warm-up
+    scalar_seconds = min(scalar_samples)
     assert warm.stats.chunks_cached == spec.n_chunks
     for policy in spec.policies:
         assert (warm.lifetimes[policy] == cold.lifetimes[policy]).all()
@@ -53,6 +80,7 @@ def test_sweep_throughput_and_cache_speedup(benchmark, tmp_path):
     cold_rate = scenario_policies / cold_seconds
     warm_rate = scenario_policies / warm_seconds
     speedup = cold_seconds / warm_seconds
+    vs_scalar = scalar_seconds / warm_seconds
     assert speedup >= 10.0, (
         f"cache-hit re-run only {speedup:.1f}x faster than the cold sweep"
     )
@@ -69,13 +97,27 @@ def test_sweep_throughput_and_cache_speedup(benchmark, tmp_path):
         "warm_seconds": round(warm_seconds, 4),
         "warm_scenario_policies_per_sec": round(warm_rate, 1),
         "cache_hit_speedup": round(speedup, 1),
+        "scalar_subset": scalar_subset,
+        "scalar_seconds": round(scalar_seconds, 4),
+        "cache_hit_vs_scalar": round(vs_scalar, 1),
     }
-    write_bench_record("BENCH_sweep.json", record)
+    write_bench_record(
+        "BENCH_sweep.json",
+        record,
+        timings={
+            "cold_run": [cold_seconds],
+            "cache_hit": warm_samples,
+            "scalar_subset": scalar_samples,
+        },
+    )
     emit(
         "Extension E10 -- sweep orchestration (400 samples x 3 policies, 2 x B1)",
         f"cold run : {cold_seconds:8.3f} s  ({cold_rate:10.1f} scenario-policies/sec,"
         f" generation + simulation + store writes)\n"
         f"cache hit: {warm_seconds:8.3f} s  ({warm_rate:10.1f} scenario-policies/sec,"
         f" pure store reads)\n"
-        f"speedup  : {speedup:8.1f} x   -> BENCH_sweep.json",
+        f"speedup  : {speedup:8.1f} x\n"
+        f"scalar   : {scalar_seconds:8.3f} s  ({scalar_subset} loads x "
+        f"{len(spec.policies)} policies)\n"
+        f"cache hit vs scalar: {vs_scalar:.1f} x   -> BENCH_sweep.json",
     )

@@ -274,17 +274,15 @@ class BatchSimulator:
 
         vector = [v for _, v in resolved if v is not None]
         if self.backend in VECTOR_MODELS and len(vector) > 1:
-            stack = VectorPolicyStack(vector, scenarios.n_scenarios)
-            tiled = scenarios.tiled(len(vector))
-            if self.backend == "discrete":
-                stacked = self._run_discrete(
-                    tiled, stack, dkp=self._discrete_params().tiled(len(vector))
-                )
-            else:
-                stacked = self._run_vectorized(
-                    tiled, stack, kp=self._kernel_params.tiled(len(vector))
-                )
             n = scenarios.n_scenarios
+            stack = VectorPolicyStack(vector, n)
+            # Policy p owns lanes [p*n, (p+1)*n); every lane reads its
+            # scenario's row of the one shared epoch table.
+            lane_scenario = np.tile(np.arange(n), len(vector))
+            if self.backend == "discrete":
+                stacked = self._run_discrete(scenarios, stack, lane_scenario)
+            else:
+                stacked = self._run_vectorized(scenarios, stack, lane_scenario)
             for index, policy in enumerate(vector):
                 lanes = slice(index * n, (index + 1) * n)
                 results[policy.name] = stacked.take(lanes, policy_name=policy.name)
@@ -312,14 +310,18 @@ class BatchSimulator:
         self,
         scenarios: ScenarioSet,
         policy: VectorPolicy,
-        kp: Optional[KernelParams] = None,
+        lane_scenario: Optional[np.ndarray] = None,
     ) -> BatchResult:
-        kp = self._kernel_params if kp is None else kp
-        n_scen = scenarios.n_scenarios
+        """Analytical lock-step loop; lane ``l`` simulates scenario
+        ``lane_scenario[l]`` (several lanes may share one scenario's epochs)."""
+        if lane_scenario is None:
+            lane_scenario = np.arange(scenarios.n_scenarios)
+        kp = self._kernel_params.take(lane_scenario)
+        n_scen = lane_scenario.shape[0]
         n_bat = self.n_batteries
         currents = scenarios.currents
         durations = scenarios.durations
-        n_epochs = scenarios.n_epochs
+        n_epochs = scenarios.n_epochs[lane_scenario]
 
         state = initial_state_array(kp, n_scen)
         sticky = np.zeros((n_scen, n_bat), dtype=bool)
@@ -359,8 +361,9 @@ class BatchSimulator:
                 active[adv[exhausted]] = False
                 live = adv[~exhausted]
                 if live.size:
-                    cur_current[live] = currents[live, epoch_idx[live]]
-                    remaining[live] = durations[live, epoch_idx[live]]
+                    rows, cols = lane_scenario[live], epoch_idx[live]
+                    cur_current[live] = currents[rows, cols]
+                    remaining[live] = durations[rows, cols]
                     entered_job = cur_current[live] > 0.0
                     job_index[live[entered_job]] += 1
                     switchover[live] = False
@@ -497,7 +500,7 @@ class BatchSimulator:
         self,
         scenarios: ScenarioSet,
         policy: VectorPolicy,
-        dkp: Optional[DiscreteKernelParams] = None,
+        lane_scenario: Optional[np.ndarray] = None,
     ) -> BatchResult:
         """Event-jumping batch dKiBaM, exactly matching the scalar tick loop.
 
@@ -516,16 +519,20 @@ class BatchSimulator:
         event tick with the full scalar tick semantics: recovery first,
         then the draw loop with per-unit emptiness checks, then epoch /
         switchover bookkeeping.  Dead and exhausted scenarios leave the
-        active set immediately and cost nothing afterwards.
+        active set immediately and cost nothing afterwards.  Lane ``l``
+        simulates scenario ``lane_scenario[l]``, reading that scenario's row
+        of the one shared epoch table.
         """
-        dkp = self._discrete_params() if dkp is None else dkp
-        n_scen = scenarios.n_scenarios
+        if lane_scenario is None:
+            lane_scenario = np.arange(scenarios.n_scenarios)
+        dkp = self._discrete_params()
+        n_scen = lane_scenario.shape[0]
         n_bat = self.n_batteries
-        dp = dkp.expanded(n_scen)
+        dp = dkp.for_lanes(lane_scenario)
         darr = scenarios.discretized(dkp.time_step, dkp.charge_unit)
         e_cur, e_ct, e_ticks = darr.cur, darr.cur_times, darr.ticks
         currents = scenarios.currents
-        n_epochs = scenarios.n_epochs
+        n_epochs = scenarios.n_epochs[lane_scenario]
         time_step = dkp.time_step
         charge_unit = dkp.charge_unit
         cp = dp.c_permille
@@ -580,10 +587,10 @@ class BatchSimulator:
                 active[done] = False  # survived the whole load
                 live = adv[~exhausted]
                 if live.size:
-                    e = epoch_idx[live]
-                    remaining[live] = e_ticks[live, e]
-                    cur_s[live] = e_cur[live, e]
-                    ct_s[live] = e_ct[live, e]
+                    rows, e = lane_scenario[live], epoch_idx[live]
+                    remaining[live] = e_ticks[rows, e]
+                    cur_s[live] = e_cur[rows, e]
+                    ct_s[live] = e_ct[rows, e]
                     serving[live] = -1
                     switchover[live] = False
                     is_job = cur_s[live] > 0
@@ -630,7 +637,9 @@ class BatchSimulator:
                             0.0, c_dec * (gamma - (1.0 - c_dec) * delta)
                         ),
                         alive=alive[rows],
-                        current=currents[deciding, epoch_idx[deciding]],
+                        current=currents[
+                            lane_scenario[deciding], epoch_idx[deciding]
+                        ],
                         time=time_t[deciding] * time_step,
                         job_index=job_index[deciding],
                         is_switchover=switchover[deciding],

@@ -64,7 +64,7 @@ class KernelParams:
       capacity/c/k' triple and the kernels stay a single NumPy call.
 
     The shared form is left untouched by the lane-alignment helpers
-    (:meth:`take`, :meth:`tiled`), so the floating-point operation order of
+    (:meth:`take`), so the floating-point operation order of
     shared-parameter batches is bit-identical to the pre-sweep engine.
     """
 
@@ -142,18 +142,6 @@ class KernelParams:
             rows = np.arange(choice.shape[0])
             return self.c[rows, choice], self.k_prime[rows, choice]
         return self.c[choice], self.k_prime[choice]
-
-    def tiled(self, times: int) -> "KernelParams":
-        """Scenario rows repeated ``times`` times (for stacked policy runs)."""
-        if times < 1:
-            raise ValueError("times must be at least 1")
-        if not self.per_scenario or times == 1:
-            return self
-        return KernelParams(
-            capacity=np.tile(self.capacity, (times, 1)),
-            c=np.tile(self.c, (times, 1)),
-            k_prime=np.tile(self.k_prime, (times, 1)),
-        )
 
     def discretize(
         self, time_step: float = 0.01, charge_unit: float = 0.01
@@ -267,22 +255,26 @@ class DiscreteKernelParams:
     def n_scenarios(self) -> "int | None":
         return self.total_units.shape[0] if self.per_scenario else None
 
-    def expanded(self, n_scenarios: int) -> "DiscreteKernelParams":
-        """Per-lane arrays materialized to ``(n_scenarios, n_batteries)``.
+    def for_lanes(self, lane_scenario: np.ndarray) -> "DiscreteKernelParams":
+        """Per-lane arrays materialized to ``(n_lanes, n_batteries)``.
 
-        The batch dKiBaM loop indexes lanes with fancy ``(scenario,
-        battery)`` pairs, which needs concrete 2-D arrays; shared parameters
-        are broadcast, per-scenario parameters are validated and returned
-        as-is.
+        The batch dKiBaM loop indexes lanes with fancy ``(lane, battery)``
+        pairs, which needs concrete 2-D arrays: shared parameters are
+        broadcast to every lane, per-scenario parameters are row-indexed by
+        the lane -> scenario map ``lane_scenario``.
         """
         if self.per_scenario:
-            if self.n_scenarios != n_scenarios:
-                raise ValueError(
-                    f"per-scenario parameters cover {self.n_scenarios} "
-                    f"scenarios, but the batch has {n_scenarios}"
-                )
-            return self
-        shape = (n_scenarios, self.n_batteries)
+            return DiscreteKernelParams(
+                time_step=self.time_step,
+                charge_unit=self.charge_unit,
+                total_units=self.total_units[lane_scenario],
+                c_permille=self.c_permille[lane_scenario],
+                c=self.c[lane_scenario],
+                height_unit=self.height_unit[lane_scenario],
+                tables=self.tables,
+                table_id=self.table_id[lane_scenario],
+            )
+        shape = (lane_scenario.shape[0], self.n_batteries)
 
         def spread(array: np.ndarray) -> np.ndarray:
             return np.ascontiguousarray(np.broadcast_to(array[None, :], shape))
@@ -296,23 +288,6 @@ class DiscreteKernelParams:
             height_unit=spread(self.height_unit),
             tables=self.tables,
             table_id=spread(self.table_id),
-        )
-
-    def tiled(self, times: int) -> "DiscreteKernelParams":
-        """Scenario rows repeated ``times`` times (for stacked policy runs)."""
-        if times < 1:
-            raise ValueError("times must be at least 1")
-        if not self.per_scenario or times == 1:
-            return self
-        return DiscreteKernelParams(
-            time_step=self.time_step,
-            charge_unit=self.charge_unit,
-            total_units=np.tile(self.total_units, (times, 1)),
-            c_permille=np.tile(self.c_permille, (times, 1)),
-            c=np.tile(self.c, (times, 1)),
-            height_unit=np.tile(self.height_unit, (times, 1)),
-            tables=self.tables,
-            table_id=np.tile(self.table_id, (times, 1)),
         )
 
 
@@ -480,26 +455,31 @@ def time_to_empty_array(
     mu = margin_up[sub]
     t = hi * (m0 / (m0 - mu))
     t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
+    # Each row stops at its own convergence: a converged row keeps its
+    # iterate while the others go on, so a row's crossing never depends on
+    # which other rows share the call (a one-row call gives the same bits).
+    frozen = np.zeros(t.shape[0], dtype=bool)
+    neg_k = -k_b
     with np.errstate(divide="ignore", invalid="ignore"):
         for iteration in range(_ROOT_MAX_ITER):
-            decay = np.exp(-k_b * t)
+            decay = np.exp(neg_k * t)
             f = g_b - i_b * t - a - b * decay
             positive = f > 0.0
             lo = np.where(positive, t, lo)
             hi = np.where(positive, hi, t)
             t_new = t - f / (kb * decay - i_b)
-            fallback = ~((t_new > lo) & (t_new < hi))
-            t_new = np.where(fallback, 0.5 * (lo + hi), t_new)
-            # Skip the convergence reductions while Newton is still far from
+            inside = (t_new > lo) & (t_new < hi)
+            t_new = np.where(inside, t_new, 0.5 * (lo + hi))
+            # Skip the convergence checks while Newton is still far from
             # its quadratic basin; afterwards one check per iteration.
-            if iteration >= 2 and bool(
-                np.all(
-                    (np.abs(t_new - t) <= _ROOT_TOL) | (hi - lo <= _ROOT_TOL)
-                )
-            ):
+            if iteration < 2:
                 t = t_new
+                continue
+            converged = (np.abs(t_new - t) <= _ROOT_TOL) | (hi - lo <= _ROOT_TOL)
+            t = np.where(frozen, t, t_new)
+            frozen |= converged
+            if frozen.all():
                 break
-            t = t_new
     out = idx[sub]
     crossing[out] = t
     crossed[out] = True

@@ -66,12 +66,14 @@ class ScenarioSet:
             raise ValueError("a scenario set needs at least one load")
         counts = np.array([len(load.epochs) for load in loads], dtype=np.int64)
         width = int(counts.max())
+        # Row-major True positions of the mask are exactly the epochs in
+        # load order, so one flat assignment fills the padded arrays.
+        filled = np.arange(width) < counts[:, None]
+        epochs = [epoch for load in loads for epoch in load.epochs]
         currents = np.zeros((len(loads), width), dtype=np.float64)
         durations = np.zeros((len(loads), width), dtype=np.float64)
-        for row, load in enumerate(loads):
-            for col, epoch in enumerate(load.epochs):
-                currents[row, col] = epoch.current
-                durations[row, col] = epoch.duration
+        currents[filled] = [epoch.current for epoch in epochs]
+        durations[filled] = [epoch.duration for epoch in epochs]
         return ScenarioSet(
             loads=loads, currents=currents, durations=durations, n_epochs=counts
         )
@@ -115,24 +117,6 @@ class ScenarioSet:
     def subset(self, indices: Sequence[int]) -> "ScenarioSet":
         """A scenario set containing only the given scenario rows."""
         return ScenarioSet.from_loads([self.loads[i] for i in indices])
-
-    def tiled(self, times: int) -> "ScenarioSet":
-        """The scenario set repeated ``times`` times, lanes concatenated.
-
-        Used to sweep several policies in one lock-step batch (policy ``p``
-        owning lane block ``p``); the padded arrays are tiled directly, so
-        this is cheap even for large batches.
-        """
-        if times < 1:
-            raise ValueError("times must be at least 1")
-        if times == 1:
-            return self
-        return ScenarioSet(
-            loads=self.loads * times,
-            currents=np.tile(self.currents, (times, 1)),
-            durations=np.tile(self.durations, (times, 1)),
-            n_epochs=np.tile(self.n_epochs, times),
-        )
 
     def discretized(
         self, time_step: float = 0.01, charge_unit: float = 0.01

@@ -1,17 +1,22 @@
 """Sweep execution: expand a spec, dispatch chunks, aggregate results.
 
 :class:`SweepRunner` turns a declarative :class:`repro.sweep.spec.SweepSpec`
-into numbers.  Scenarios are cut into fixed chunks; each *pending* chunk is
-dispatched through :class:`repro.engine.batch.BatchSimulator` -- with
-per-scenario battery-parameter arrays whenever the chunk mixes battery
+into numbers.  Scenarios are cut into fixed chunks, the store and resume
+unit.  The *pending* chunks are grouped into passes, the compute unit: one
+pass (at most :data:`_PASS_SCENARIOS` scenarios, chunks of one execution
+path only) is simulated by a single
+:meth:`repro.engine.batch.BatchSimulator.run_many` call -- with
+per-scenario battery-parameter arrays whenever its chunks mix battery
 configurations, so a whole parameter grid advances as one vectorized batch,
 under either vectorized battery model (``spec.backend`` selects
 ``"analytical"`` or the exact-integer ``"discrete"`` dKiBaM; the model is
-part of the spec hash, so the two never alias in the store) -- and
-persisted into the content-addressed
-:class:`repro.sweep.store.ResultStore`.  Chunks already on disk are loaded
-instead of recomputed, which makes re-runs cache hits and interrupted
-sweeps resume from the last completed chunk.
+part of the spec hash, so the two never alias in the store) -- and its
+results are persisted chunk by chunk into the content-addressed
+:class:`repro.sweep.store.ResultStore`.  Lanes of the batch kernels are
+independent, so a chunk's results are the same bits whichever chunks share
+its pass.  Chunks already on disk are loaded instead of recomputed, which
+makes re-runs cache hits and interrupted sweeps resume from the last
+completed chunk.
 
 The pseudo-policy ``"optimal"`` (see :meth:`SweepSpec.with_optimal`) is a
 first-class column: each scenario runs one batched branch-and-bound search
@@ -34,11 +39,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.batch import BatchSimulator
+from repro.engine.batch import BatchResult, BatchSimulator
 from repro.sweep.spec import (
     OPTIMAL_POLICY,
     ScenarioPoint,
@@ -277,6 +282,54 @@ class SweepResult:
         return "\n".join(lines)
 
 
+#: Most scenarios simulated by one ``run_many`` call.  Pending chunks are
+#: grouped into passes of at most this many scenarios (a larger chunk is a
+#: pass of its own), which bounds the kernel arrays on huge sweeps while
+#: letting a cold sweep pay the lock-step loop once, not once per chunk.
+_PASS_SCENARIOS = 1024
+
+
+def _param_key(points: Sequence[ScenarioPoint]):
+    """The execution path of a chunk: its one parameter triple set, or None.
+
+    A homogeneous chunk takes the shared-parameter path (bit-identical to
+    the pre-sweep engine); mixed chunks use per-scenario arrays.
+    Homogeneity compares only the numeric triples -- the spec hash strips
+    cosmetic parameter names, so two specs sharing a store entry must also
+    share the execution path.
+    """
+    triples = {
+        tuple((p.capacity, p.c, p.k_prime) for p in point.battery_params)
+        for point in points
+    }
+    return triples.pop() if len(triples) == 1 else None
+
+
+def _plan_passes(
+    points: Sequence[ScenarioPoint],
+    bounds: Sequence[Tuple[int, int]],
+    pending: Sequence[int],
+) -> List[List[int]]:
+    """Group pending chunks into passes, in chunk order.
+
+    A pass only holds chunks of one execution path (:func:`_param_key`), so
+    every chunk runs exactly the kernels it would run alone, and at most
+    :data:`_PASS_SCENARIOS` scenarios.
+    """
+    passes: List[List[int]] = []
+    open_pass: Dict[object, Tuple[List[int], int]] = {}
+    for chunk_index in pending:
+        start, stop = bounds[chunk_index]
+        key = _param_key(points[start:stop])
+        chunks, size = open_pass.get(key, (None, 0))
+        if chunks is None or size + stop - start > _PASS_SCENARIOS:
+            chunks, size = [], 0
+            passes.append(chunks)
+        chunks.append(chunk_index)
+        open_pass[key] = (chunks, size + stop - start)
+    return passes
+
+
 class SweepRunner:
     """Executes sweep specs, consulting and filling a result store.
 
@@ -372,38 +425,8 @@ class SweepRunner:
             else {}
         )
 
-        for chunk_index, (start, stop) in enumerate(bounds):
-            cached = (
-                not force
-                and self.store is not None
-                and self.store.has_chunk(spec_hash, chunk_index)
-            )
-            if cached:
-                chunk_results = self.store.load_chunk(
-                    spec_hash, chunk_index, spec.policies
-                )
-                stats.chunks_cached += 1
-                if progress is not None:
-                    progress(
-                        f"chunk {chunk_index + 1}/{len(bounds)}: "
-                        f"{stop - start} scenarios (cached)"
-                    )
-            else:
-                chunk_started = time.perf_counter()
-                chunk_results = self._run_chunk(spec, points[start:stop])
-                elapsed = time.perf_counter() - chunk_started
-                stats.chunks_run += 1
-                stats.scenarios_run += stop - start
-                stats.run_seconds += elapsed
-                if self.store is not None:
-                    self.store.save_chunk(
-                        spec_hash, chunk_index, chunk_results, elapsed
-                    )
-                if progress is not None:
-                    progress(
-                        f"chunk {chunk_index + 1}/{len(bounds)}: "
-                        f"{stop - start} scenarios in {elapsed:.2f}s"
-                    )
+        def collect(chunk_index: int, chunk_results) -> None:
+            start, stop = bounds[chunk_index]
             for policy in spec.policies:
                 fields = chunk_results[policy]
                 lifetimes[policy][start:stop] = fields["lifetimes"]
@@ -416,6 +439,46 @@ class SweepRunner:
                     nodes_known[policy][start:stop] = True
                 if policy in seeded and "seeded" in fields:
                     seeded[policy][start:stop] = fields["seeded"].astype(bool)
+
+        pending: List[int] = []
+        for chunk_index, (start, stop) in enumerate(bounds):
+            cached = (
+                not force
+                and self.store is not None
+                and self.store.has_chunk(spec_hash, chunk_index)
+            )
+            if not cached:
+                pending.append(chunk_index)
+                continue
+            collect(
+                chunk_index,
+                self.store.load_chunk(spec_hash, chunk_index, spec.policies),
+            )
+            stats.chunks_cached += 1
+            if progress is not None:
+                progress(
+                    f"chunk {chunk_index + 1}/{len(bounds)}: "
+                    f"{stop - start} scenarios (cached)"
+                )
+
+        for pass_chunks in _plan_passes(points, bounds, pending):
+            for chunk_index, chunk_results, elapsed in self._run_pass(
+                spec, points, bounds, pass_chunks
+            ):
+                start, stop = bounds[chunk_index]
+                stats.chunks_run += 1
+                stats.scenarios_run += stop - start
+                stats.run_seconds += elapsed
+                if self.store is not None:
+                    self.store.save_chunk(
+                        spec_hash, chunk_index, chunk_results, elapsed
+                    )
+                if progress is not None:
+                    progress(
+                        f"chunk {chunk_index + 1}/{len(bounds)}: "
+                        f"{stop - start} scenarios in {elapsed:.2f}s"
+                    )
+                collect(chunk_index, chunk_results)
 
         stats.total_seconds = time.perf_counter() - started
         return SweepResult(
@@ -454,38 +517,63 @@ class SweepRunner:
         return self.run(spec)
 
     # ------------------------------------------------------------------ #
-    def _run_chunk(
-        self, spec: SweepSpec, points: Sequence[ScenarioPoint]
-    ) -> Dict[str, Dict[str, np.ndarray]]:
-        scenario_set = ScenarioSet.from_loads([point.load for point in points])
-        rows = [point.battery_params for point in points]
-        # A homogeneous chunk takes the shared-parameter path (bit-identical
-        # to the pre-sweep engine); mixed chunks use per-scenario arrays.
-        # Homogeneity compares only the numeric triples -- the spec hash
-        # strips cosmetic parameter names, so two specs sharing a store
-        # entry must also share the execution path.
-        triples = {
-            tuple((p.capacity, p.c, p.k_prime) for p in row) for row in rows
-        }
-        if len(triples) == 1:
-            simulator = BatchSimulator(rows[0], backend=spec.backend)
-        else:
-            simulator = BatchSimulator(rows, backend=spec.backend)
+    def _run_pass(
+        self,
+        spec: SweepSpec,
+        points: Sequence[ScenarioPoint],
+        bounds: Sequence[Tuple[int, int]],
+        chunk_indices: Sequence[int],
+    ) -> Iterator[Tuple[int, Dict[str, Dict[str, np.ndarray]], float]]:
+        """Compute the pending chunks of one pass, yielding them one by one.
+
+        The heuristic columns of every chunk in the pass are simulated by one
+        ``run_many`` call (lanes are independent, so a chunk's rows are the
+        same bits whichever chunks share its pass); the optimal column stays
+        one search per scenario, run chunk by chunk.  Each chunk is yielded
+        as soon as it is complete, so the caller persists it before the next
+        chunk's searches start.  A chunk's elapsed time is its scenario share
+        of the pass simulation plus its own optimal searches.
+        """
+        started = time.perf_counter()
+        pass_bounds = [bounds[index] for index in chunk_indices]
         sim_policies = [p for p in spec.policies if p != OPTIMAL_POLICY]
-        out: Dict[str, Dict[str, np.ndarray]] = {}
+        simulated: Dict[str, BatchResult] = {}
         if sim_policies:
-            results = simulator.run_many(scenario_set, sim_policies)
+            pass_points = [
+                point for start, stop in pass_bounds for point in points[start:stop]
+            ]
+            rows = [point.battery_params for point in pass_points]
+            homogeneous = _param_key(pass_points) is not None
+            simulator = BatchSimulator(
+                rows[0] if homogeneous else rows, backend=spec.backend
+            )
+            simulated = simulator.run_many(
+                ScenarioSet.from_loads([point.load for point in pass_points]),
+                sim_policies,
+            )
+        n_pass = sum(stop - start for start, stop in pass_bounds)
+        shared_seconds = time.perf_counter() - started
+        offset = 0
+        for chunk_index, (start, stop) in zip(chunk_indices, pass_bounds):
+            chunk_started = time.perf_counter()
+            lanes = slice(offset, offset + stop - start)
+            offset = lanes.stop
             out = {
                 policy: {
-                    "lifetimes": results[policy].lifetimes,
-                    "decisions": results[policy].decisions,
-                    "residual_charge": results[policy].residual_charge,
+                    "lifetimes": result.lifetimes[lanes],
+                    "decisions": result.decisions[lanes],
+                    "residual_charge": result.residual_charge[lanes],
                 }
-                for policy in sim_policies
+                for policy, result in simulated.items()
             }
-        if spec.has_optimal:
-            out[OPTIMAL_POLICY] = self._run_optimal_column(spec, points)
-        return {policy: out[policy] for policy in spec.policies}
+            if spec.has_optimal:
+                out[OPTIMAL_POLICY] = self._run_optimal_column(
+                    spec, points[start:stop]
+                )
+            elapsed = shared_seconds * (stop - start) / n_pass + (
+                time.perf_counter() - chunk_started
+            )
+            yield chunk_index, {policy: out[policy] for policy in spec.policies}, elapsed
 
     def _run_optimal_column(
         self, spec: SweepSpec, points: Sequence[ScenarioPoint]

@@ -142,6 +142,38 @@ class TestGateDecisions:
              "--baseline-dir", str(tmp_path / "base")]
         ) == 1
 
+    def test_sweep_cache_hit_is_gated_against_scalar(self, check_bench, tmp_path):
+        """The sweep record is gated on the cache-hit time against the
+        scalar reference: halving that ratio alone must fail."""
+        assert ("BENCH_sweep.json", "cache_hit_vs_scalar") in check_bench.CHECKS
+        fresh = all_checks(check_bench, 20.0)
+        fresh[("BENCH_sweep.json", "cache_hit_vs_scalar")] = 10.0
+        write_records(tmp_path / "fresh", fresh)
+        write_records(tmp_path / "base", all_checks(check_bench, 20.0))
+        assert check_bench.main(
+            ["--fresh-dir", str(tmp_path / "fresh"),
+             "--baseline-dir", str(tmp_path / "base")]
+        ) == 1
+
+    def test_faster_cold_sweep_is_not_a_cache_regression(
+        self, check_bench, tmp_path
+    ):
+        """A faster cold run shrinks the cold-over-cached ratio (78x -> 25x
+        with the cache hit unchanged); that ratio stays in the record but
+        must not fail the gate."""
+        assert ("BENCH_sweep.json", "cache_hit_speedup") not in check_bench.CHECKS
+        write_records(tmp_path / "fresh", all_checks(check_bench, 20.0))
+        write_records(tmp_path / "base", all_checks(check_bench, 20.0))
+        for directory, cold_over_cached in (("fresh", 25.0), ("base", 78.0)):
+            path = tmp_path / directory / "BENCH_sweep.json"
+            record = json.loads(path.read_text())
+            record["cache_hit_speedup"] = cold_over_cached
+            path.write_text(json.dumps(record))
+        assert check_bench.main(
+            ["--fresh-dir", str(tmp_path / "fresh"),
+             "--baseline-dir", str(tmp_path / "base")]
+        ) == 0
+
     def test_missing_fresh_record_fails(self, check_bench, tmp_path):
         (tmp_path / "fresh").mkdir()
         write_records(tmp_path / "base", all_checks(check_bench, 20.0))

@@ -15,6 +15,7 @@ The contracts under test:
   through the store and repeated calls reproduce the first result exactly.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -37,6 +38,7 @@ from repro.sweep import (
     battery_grid,
     builtin_specs,
 )
+from repro.sweep import runner as sweep_runner
 from repro.sweep.cli import main as sweep_cli
 from repro.workloads.generator import RandomLoadConfig
 from repro.workloads.load import Load
@@ -302,6 +304,91 @@ class TestRunnerCaching:
         assert store.find(spec.spec_hash()[:6]).spec_hash == spec.spec_hash()
         assert store.find("unit-test").spec_hash == spec.spec_hash()
         assert store.find("nonexistent") is None
+
+
+def assert_same_results(got, expected):
+    """Every per-scenario array of two sweep results is bitwise equal."""
+    for policy in expected.spec.policies:
+        for field in ("lifetimes", "decisions", "residual_charge"):
+            np.testing.assert_array_equal(
+                getattr(got, field)[policy], getattr(expected, field)[policy]
+            )
+
+
+class TestPasses:
+    """A chunk is the store and resume unit; a pass is the compute unit.
+
+    Pending chunks are simulated together, one ``run_many`` call per pass.
+    Results must not depend on which chunks shared a pass.
+    """
+
+    @pytest.fixture
+    def run_many_calls(self, monkeypatch):
+        calls = []
+        original = BatchSimulator.run_many
+
+        def counting(simulator, scenarios, policies):
+            calls.append(scenarios.n_scenarios)
+            return original(simulator, scenarios, policies)
+
+        monkeypatch.setattr(BatchSimulator, "run_many", counting)
+        return calls
+
+    @pytest.mark.parametrize("model", ["analytical", "discrete"])
+    def test_several_chunks_equal_chunk_size_one_run(self, model, monkeypatch):
+        spec = small_spec(chunk_size=3, n_samples=10).with_model(model)
+        pooled = SweepRunner().run(spec)
+        monkeypatch.setattr(sweep_runner, "_PASS_SCENARIOS", 1)
+        alone = SweepRunner().run(dataclasses.replace(spec, chunk_size=1))
+        assert_same_results(pooled, alone)
+
+    def test_one_run_many_call_per_pass(self, tmp_path, run_many_calls):
+        spec = small_spec(chunk_size=3, n_samples=10)  # 4 chunks
+        result = SweepRunner(ResultStore(tmp_path / "store")).run(spec)
+        assert run_many_calls == [10]
+        assert result.stats.chunks_run == 4
+        # Each chunk is stored on its own, timed by its scenario share.
+        events = ResultStore(tmp_path / "store").read_log(spec.spec_hash())
+        chunks = [event for event in events if event["event"] == "chunk"]
+        assert sorted(event["chunk"] for event in chunks) == [0, 1, 2, 3]
+        assert all(event["elapsed_seconds"] > 0.0 for event in chunks)
+
+    def test_pass_size_is_capped(self, monkeypatch, run_many_calls):
+        monkeypatch.setattr(sweep_runner, "_PASS_SCENARIOS", 6)
+        SweepRunner().run(small_spec(chunk_size=3, n_samples=10))
+        assert run_many_calls == [6, 4]
+
+    @pytest.mark.parametrize("model", ["analytical", "discrete"])
+    def test_resume_with_non_adjacent_missing_chunks(self, tmp_path, model):
+        spec = small_spec(chunk_size=2, n_samples=10).with_model(model)
+        store = ResultStore(tmp_path / "store")
+        runner = SweepRunner(store)
+        fresh = runner.run(spec)
+        for index in (1, 3):
+            store._chunk_path(spec.spec_hash(), index).unlink()
+        resumed = runner.run(spec)
+        assert resumed.stats.chunks_run == 2
+        assert resumed.stats.scenarios_run == 4
+        assert_same_results(resumed, fresh)
+
+    def test_passes_never_mix_execution_paths(self, monkeypatch):
+        # Two capacities x 5 loads, chunks of 3: chunk 0 is all 2x0.8,
+        # chunk 1 mixes both configurations, chunks 2-3 are all 2x1.2.
+        spec = SweepSpec(
+            name="paths",
+            batteries=battery_grid([0.8, 1.2], c=0.166, k_prime=0.122),
+            loads=(LoadAxis.random(5, seed=4, config=FAST_CONFIG),),
+            policies=("sequential", "best-of-two"),
+            chunk_size=3,
+        )
+        passes = sweep_runner._plan_passes(
+            spec.expand(), spec.chunk_bounds(), range(spec.n_chunks)
+        )
+        assert passes == [[0], [1], [2, 3]]
+        pooled = SweepRunner().run(spec)
+        monkeypatch.setattr(sweep_runner, "_PASS_SCENARIOS", 1)
+        alone = SweepRunner().run(spec)
+        assert_same_results(pooled, alone)
 
 
 class TestPerScenarioParameters:

@@ -1,8 +1,14 @@
 """Tests for the load model, the paper's test loads and the generators."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from repro.workloads import generator as generator_module
 from repro.workloads.generator import (
+    EPOCH_CACHE_SIZE,
+    ILS_LIKE_RANDOM_CONFIG,
     LOAD_GENERATOR_REGISTRY,
     RandomLoadConfig,
     bursty_load,
@@ -150,6 +156,64 @@ class TestGenerators:
 
     def test_random_load_is_seed_deterministic(self):
         assert generate_random_load(1).segments() == generate_random_load(1).segments()
+
+    # Digests of the epochs (current, duration, label) of seeds 0-199,
+    # recorded before epochs were interned and the draw methods bound: the
+    # generator must keep drawing the same stream and building equal loads.
+    PINNED_DIGESTS = {
+        "default": "716989bdc41e62ed36829fd6df9bd039ddd8802e948d89a25904fd1d9b70b05a",
+        "ils-like": "bd26f950a486e62dd9b39c75f9ef90df2e26f9b992d39e4594fc4741e95ceb37",
+        "numpy-rng": "73cd4acecd9ed7ae903dd9dd32ab3ecb1c84410d84c48aa1dbdfaa5c9defda4c",
+    }
+
+    @staticmethod
+    def _digest(loads):
+        digest = hashlib.sha256()
+        for load in loads:
+            epochs = [(e.current, e.duration, e.label) for e in load.epochs]
+            digest.update(repr((load.name, epochs)).encode())
+        return digest.hexdigest()
+
+    def test_random_load_stream_is_pinned(self):
+        rng = np.random.default_rng(0)
+        digests = {
+            "default": self._digest(generate_random_load(s) for s in range(200)),
+            "ils-like": self._digest(
+                generate_random_load(s, ILS_LIKE_RANDOM_CONFIG) for s in range(200)
+            ),
+            "numpy-rng": self._digest(
+                generate_random_load(config=ILS_LIKE_RANDOM_CONFIG, rng=rng)
+                for _ in range(200)
+            ),
+        }
+        assert digests == self.PINNED_DIGESTS
+
+    def test_epoch_cache_stays_under_its_cap(self):
+        fine = RandomLoadConfig(
+            levels=(0.25, 0.5),
+            job_duration_range=(0.5, 1.5),
+            idle_duration_range=(0.5, 2.0),
+            duration_step=1e-4,
+        )
+        largest = 0
+        loads = []
+        for seed in range(60):  # about 6,000 distinct epochs in all
+            loads.append(generate_random_load(seed, fine))
+            largest = max(largest, len(generator_module._EPOCH_CACHE))
+            assert len(generator_module._EPOCH_CACHE) <= EPOCH_CACHE_SIZE
+        assert largest > EPOCH_CACHE_SIZE // 2
+        # Starting the cache over never changes a load.
+        generator_module._EPOCH_CACHE.clear()
+        assert generate_random_load(3, fine) == loads[3]
+
+    def test_interning_keeps_integer_levels_integer(self):
+        generate_random_load(0, RandomLoadConfig(levels=(1.0,), duration_step=1.0))
+        load = generate_random_load(0, RandomLoadConfig(levels=(1,), duration_step=1))
+        assert all(
+            type(epoch.current) is int and type(epoch.duration) is int
+            for epoch in load.epochs
+            if epoch.is_job
+        )
 
     def test_bursty_load_structure(self):
         load = bursty_load(burst_current=0.5, burst_jobs=3, rest_duration=5.0, cycles=2)
