@@ -309,14 +309,15 @@ def _plan_passes(
     points: Sequence[ScenarioPoint],
     bounds: Sequence[Tuple[int, int]],
     pending: Sequence[int],
-) -> List[List[int]]:
-    """Group pending chunks into passes, in chunk order.
+) -> List[Tuple[object, List[int]]]:
+    """Group pending chunks into ``(path key, chunk indices)`` passes, in
+    chunk order.
 
     A pass only holds chunks of one execution path (:func:`_param_key`), so
     every chunk runs exactly the kernels it would run alone, and at most
     :data:`_PASS_SCENARIOS` scenarios.
     """
-    passes: List[List[int]] = []
+    passes: List[Tuple[object, List[int]]] = []
     open_pass: Dict[object, Tuple[List[int], int]] = {}
     for chunk_index in pending:
         start, stop = bounds[chunk_index]
@@ -324,7 +325,7 @@ def _plan_passes(
         chunks, size = open_pass.get(key, (None, 0))
         if chunks is None or size + stop - start > _PASS_SCENARIOS:
             chunks, size = [], 0
-            passes.append(chunks)
+            passes.append((key, chunks))
         chunks.append(chunk_index)
         open_pass[key] = (chunks, size + stop - start)
     return passes
@@ -461,9 +462,9 @@ class SweepRunner:
                     f"{stop - start} scenarios (cached)"
                 )
 
-        for pass_chunks in _plan_passes(points, bounds, pending):
+        for key, pass_chunks in _plan_passes(points, bounds, pending):
             for chunk_index, chunk_results, elapsed in self._run_pass(
-                spec, points, bounds, pass_chunks
+                spec, points, bounds, pass_chunks, shared=key is not None
             ):
                 start, stop = bounds[chunk_index]
                 stats.chunks_run += 1
@@ -523,8 +524,12 @@ class SweepRunner:
         points: Sequence[ScenarioPoint],
         bounds: Sequence[Tuple[int, int]],
         chunk_indices: Sequence[int],
+        shared: bool,
     ) -> Iterator[Tuple[int, Dict[str, Dict[str, np.ndarray]], float]]:
         """Compute the pending chunks of one pass, yielding them one by one.
+
+        ``shared`` says the pass has one parameter set (its
+        :func:`_param_key` is not None) and takes the shared-parameter path.
 
         The heuristic columns of every chunk in the pass are simulated by one
         ``run_many`` call (lanes are independent, so a chunk's rows are the
@@ -543,9 +548,8 @@ class SweepRunner:
                 point for start, stop in pass_bounds for point in points[start:stop]
             ]
             rows = [point.battery_params for point in pass_points]
-            homogeneous = _param_key(pass_points) is not None
             simulator = BatchSimulator(
-                rows[0] if homogeneous else rows, backend=spec.backend
+                rows[0] if shared else rows, backend=spec.backend
             )
             simulated = simulator.run_many(
                 ScenarioSet.from_loads([point.load for point in pass_points]),

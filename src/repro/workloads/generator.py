@@ -82,13 +82,6 @@ def _choice(rng, options: Sequence[float]) -> float:
     return float(options[int(rng.integers(len(options)))])
 
 
-#: Most distinct ``(current, duration)`` epochs :func:`generate_random_load`
-#: keeps interned; past it the cache starts over, so a very fine
-#: ``duration_step`` cannot grow it without bound.
-EPOCH_CACHE_SIZE = 4096
-_EPOCH_CACHE: Dict[tuple, Epoch] = {}
-
-
 def generate_random_load(
     seed: Optional[int] = None,
     config: Optional[RandomLoadConfig] = None,
@@ -107,9 +100,9 @@ def generate_random_load(
       thread one stream through a whole experiment.
 
     Epochs are frozen, so equal ``(current, duration)`` pairs share one
-    interned :class:`Epoch` across loads (random loads draw from a few
-    levels and step-rounded durations, so a 1000-load sweep needs only a
-    few hundred distinct epochs).
+    :class:`Epoch` across loads (:func:`_shared_epoch`): random loads draw
+    from a few levels and step-rounded durations, so 1000 ILs-like loads of
+    about 108 epochs each hold only 17 distinct ones.
     """
     cfg = config if config is not None else RandomLoadConfig()
     rng = _resolve_rng(seed, rng)
@@ -123,40 +116,32 @@ def generate_random_load(
     step = cfg.duration_step
     job_low, job_high = cfg.job_duration_range
     idle_low, idle_high = cfg.idle_duration_range
-    # Interning keys on values, and 1 == 1.0: only an all-float config
-    # shares the module cache, anything else interns within this load.
-    all_float = type(step) is float and all(type(level) is float for level in levels)
-    cache = _EPOCH_CACHE if all_float else {}
     epochs: List[Epoch] = []
     elapsed = 0.0
     while elapsed < cfg.total_duration:
         current = draw_current()
         job_duration = _round_to_step(uniform(job_low, job_high), step)
-        epoch = cache.get((current, job_duration))
-        if epoch is None:
-            epoch = _intern(cache, current, job_duration)
-        epochs.append(epoch)
+        epochs.append(_shared_epoch(current, job_duration))
         elapsed += job_duration
         if idle_high > 0.0:
             idle_duration = round(uniform(idle_low, idle_high) / step) * step
             if idle_duration > 0.0:
-                epoch = cache.get((0.0, idle_duration))
-                if epoch is None:
-                    epoch = _intern(cache, 0.0, idle_duration)
-                epochs.append(epoch)
+                epochs.append(_shared_epoch(0.0, idle_duration))
                 elapsed += idle_duration
     name = f"random(seed={seed})" if seed is not None else "random(rng)"
     return Load(name=name, epochs=tuple(epochs))
 
 
-def _intern(cache: Dict[tuple, Epoch], current: float, duration: float) -> Epoch:
-    """Build a job (or, at zero current, idle) epoch and keep it in ``cache``,
-    starting the cache over when it is full."""
-    if len(cache) >= EPOCH_CACHE_SIZE:
-        cache.clear()
-    epoch = job_epoch(current, duration) if current > 0.0 else idle_epoch(duration)
-    cache[(current, duration)] = epoch
-    return epoch
+@functools.lru_cache(maxsize=4096, typed=True)
+def _shared_epoch(current: float, duration: float) -> Epoch:
+    """The shared frozen job (or, at zero current, idle) :class:`Epoch` of
+    ``(current, duration)``.
+
+    The cache is bounded, so a very fine ``duration_step`` cannot grow it
+    without limit, and typed, because ``1 == 1.0`` would otherwise hand an
+    integer level a float epoch.
+    """
+    return job_epoch(current, duration) if current > 0.0 else idle_epoch(duration)
 
 
 def bursty_load(

@@ -384,7 +384,8 @@ class TestPasses:
         passes = sweep_runner._plan_passes(
             spec.expand(), spec.chunk_bounds(), range(spec.n_chunks)
         )
-        assert passes == [[0], [1], [2, 3]]
+        assert [chunks for _, chunks in passes] == [[0], [1], [2, 3]]
+        assert [key is None for key, _ in passes] == [False, True, False]
         pooled = SweepRunner().run(spec)
         monkeypatch.setattr(sweep_runner, "_PASS_SCENARIOS", 1)
         alone = SweepRunner().run(spec)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.workloads import generator as generator_module
 from repro.workloads.generator import (
-    EPOCH_CACHE_SIZE,
     ILS_LIKE_RANDOM_CONFIG,
     LOAD_GENERATOR_REGISTRY,
     RandomLoadConfig,
@@ -195,15 +194,12 @@ class TestGenerators:
             idle_duration_range=(0.5, 2.0),
             duration_step=1e-4,
         )
-        largest = 0
-        loads = []
-        for seed in range(60):  # about 6,000 distinct epochs in all
-            loads.append(generate_random_load(seed, fine))
-            largest = max(largest, len(generator_module._EPOCH_CACHE))
-            assert len(generator_module._EPOCH_CACHE) <= EPOCH_CACHE_SIZE
-        assert largest > EPOCH_CACHE_SIZE // 2
-        # Starting the cache over never changes a load.
-        generator_module._EPOCH_CACHE.clear()
+        # About 6,000 distinct epochs in all, more than the cache holds.
+        loads = [generate_random_load(seed, fine) for seed in range(60)]
+        info = generator_module._shared_epoch.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
+        # Evicting an epoch never changes a load.
+        generator_module._shared_epoch.cache_clear()
         assert generate_random_load(3, fine) == loads[3]
 
     def test_interning_keeps_integer_levels_integer(self):
