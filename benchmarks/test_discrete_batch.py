@@ -14,15 +14,23 @@ throughput ratio on one core (observed: well above 20x; wall-clock ratios
 on shared runners are noisy, so the hard in-test gate sits at half the bar
 while ``scripts/check_bench.py`` tracks the recorded ratio against the
 committed baseline).
+
+A second harness times the optimal search's dKiBaM segment kernel
+(:func:`repro.engine.optimal_batch.discrete_segment_array`) against the
+per-tick scalar ``run_segment`` on one fixed lane batch taken from the
+certified ``ILs 250`` search, and records that search's wall time.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import emit, write_bench_record
 from repro.core.simulator import simulate_policy
 from repro.engine import BatchSimulator, ScenarioSet
+from repro.engine import optimal_batch
+from repro.kibam.discrete import DischargeSpec, DiscreteBatteryState, DiscreteKibam
 from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
 
 
@@ -105,4 +113,132 @@ def test_dkibam_batch_throughput(benchmark, b1):
         f"batch dKiBaM: {batch_rate:10.1f} scenario-policies/sec "
         f"(full {n_samples}-sample sweep)\n"
         f"speedup     : {speedup:10.1f} x   -> BENCH_dkibam.json",
+    )
+
+
+def _certified_search_with_calls(b1, load):
+    """The certified dKiBaM search on 2 x B1, with every kernel call's inputs."""
+    calls = []
+    kernel = optimal_batch.discrete_segment_array
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    optimal_batch.discrete_segment_array = recording
+    try:
+        result = optimal_batch.find_optimal_schedule_batched(
+            [b1, b1], load, model="discrete"
+        )
+    finally:
+        optimal_batch.discrete_segment_array = kernel
+    return result, calls
+
+
+@pytest.mark.benchmark(group="dkibam")
+def test_dkibam_segment_kernel_vs_scalar_ticks(b1, loads):
+    """The search's dKiBaM kernel against per-tick ``run_segment`` calls.
+
+    The lane batch is fixed: the serving call and the idle call with the
+    most lane-ticks of the certified ``ILs 250`` search (the search is
+    deterministic), joined into one mixed call.  Both sides must agree
+    exactly on every lane; the recorded ratio is scalar seconds over
+    kernel seconds.
+    """
+    load = loads["ILs 250"]
+    result, calls = _certified_search_with_calls(b1, load)
+    assert result.complete
+
+    def lane_ticks(args):
+        return int(args[-1].sum())
+
+    serving = max((a for a in calls if (a[10] > 0).all()), key=lane_ticks)
+    idle = max((a for a in calls if (a[10] == 0).all()), key=lane_ticks)
+    # Tables are shared; every other argument is one value per lane.
+    batch = serving[:2] + tuple(
+        np.concatenate([s, i]) for s, i in zip(serving[2:], idle[2:])
+    )
+    model = DiscreteKibam(b1)
+    _, _, _, _, n, m, recov, acc, rate_cur, rate_ct, cur, cur_times, ticks = batch
+    lanes = [
+        (
+            DiscreteBatteryState(
+                n=int(n[i]),
+                m=int(m[i]),
+                disch_ticks=int(acc[i]),
+                disch_rate=(int(rate_cur[i]), int(rate_ct[i])),
+                recov_ticks=int(recov[i]),
+            ),
+            DischargeSpec(int(cur[i]), int(cur_times[i])).current(
+                model.charge_unit, model.time_step
+            ),
+            int(ticks[i]) * model.time_step,
+        )
+        for i in range(n.size)
+    ]
+
+    # The host's speed drifts within seconds, so the two sides alternate:
+    # each round times one scalar pass and the best of ten kernel calls,
+    # and the recorded ratio is the median of the per-round ratios.
+    scalar_samples, kernel_samples, ratios = [], [], []
+    for _ in range(5):
+        start = time.perf_counter()
+        scalar = [model.run_segment(*lane) for lane in lanes]
+        scalar_samples.append(time.perf_counter() - start)
+        for _ in range(10):
+            start = time.perf_counter()
+            out = optimal_batch.discrete_segment_array(*batch)
+            kernel_samples.append(time.perf_counter() - start)
+        ratios.append(scalar_samples[-1] / min(kernel_samples[-10:]))
+    for i, (state, empty_tick) in enumerate(scalar):
+        assert tuple(int(array[i]) for array in out) == (
+            state.n,
+            state.m,
+            state.recov_ticks,
+            state.disch_ticks,
+            *state.disch_rate,
+            -1 if empty_tick is None else empty_tick,
+        )
+    kernel_speedup = float(np.median(ratios))
+
+    search_samples = []
+    for _ in range(2):
+        start = time.perf_counter()
+        again = optimal_batch.find_optimal_schedule_batched(
+            [b1, b1], load, model="discrete"
+        )
+        search_samples.append(time.perf_counter() - start)
+    assert (again.lifetime, again.nodes_expanded) == (
+        result.lifetime, result.nodes_expanded
+    )
+
+    record = {
+        "segment_kernel_batch": {
+            "source": "certified dKiBaM ILs 250 search, 2 x B1",
+            "serving_lanes": int(serving[2].size),
+            "idle_lanes": int(idle[2].size),
+            "lane_ticks": int(ticks.sum()),
+        },
+        "segment_kernel_speedup": round(kernel_speedup, 1),
+        "ils250_certified_search_seconds": round(min(search_samples), 4),
+        "ils250_certified_search_nodes": int(result.nodes_expanded),
+    }
+    write_bench_record(
+        "BENCH_dkibam.json",
+        record,
+        timings={
+            "segment_kernel_scalar": scalar_samples,
+            "segment_kernel": kernel_samples,
+            "ils250_certified_search": search_samples,
+        },
+    )
+    emit(
+        "dKiBaM segment kernel vs per-tick run_segment (ILs 250 lanes, 2 x B1)",
+        f"lanes        : {n.size} ({serving[2].size} serving, {idle[2].size} idle), "
+        f"{int(ticks.sum())} lane-ticks\n"
+        f"scalar ticks : {min(scalar_samples) * 1e3:10.2f} ms\n"
+        f"kernel       : {min(kernel_samples) * 1e3:10.2f} ms\n"
+        f"speedup      : {kernel_speedup:10.1f} x   -> BENCH_dkibam.json\n"
+        f"certified ILs 250 search: {min(search_samples):.3f} s, "
+        f"{result.nodes_expanded} nodes",
     )

@@ -75,11 +75,12 @@ def test_optimal_batch_node_throughput(benchmark, loads, b1):
     # Scalar reference: one warmup, then the best of two timed repeats
     # (mirrors the min-of-rounds treatment the batch side gets).
     scalar_search()
-    scalar_seconds = float("inf")
+    scalar_samples = []
     for _ in range(2):
         start = time.perf_counter()
         scalar_result = scalar_search()
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
+        scalar_samples.append(time.perf_counter() - start)
+    scalar_seconds = min(scalar_samples)
     scalar_rate = scalar_result.nodes_expanded / scalar_seconds
 
     batched_result = benchmark.pedantic(
@@ -128,7 +129,12 @@ def test_optimal_batch_node_throughput(benchmark, loads, b1):
             "batched_seconds_per_search": round(batched_seconds, 4),
             "table5_optimal_seconds": round(table5_seconds, 2),
             "speedup": round(speedup, 1),
-        }
+        },
+        timings={
+            "scalar_search": scalar_samples,
+            "batched_search": list(benchmark.stats.stats.data),
+            "table5_optimal_column": [table5_seconds],
+        },
     )
     emit(
         "Extension E12 -- batched optimal search throughput (ILs 250, 2 x B1)",
@@ -175,7 +181,9 @@ def test_seeded_sweep_prunes_nodes_with_identical_results(b1):
     started = time.perf_counter()
     seeded = SweepRunner(None, seed_optimal=True).run(spec)
     seeded_seconds = time.perf_counter() - started
+    started = time.perf_counter()
     fresh = SweepRunner(None, seed_optimal=False).run(spec)
+    fresh_seconds = time.perf_counter() - started
 
     # The invariant first: pruning work must not move a single bit of the
     # results.
@@ -208,7 +216,8 @@ def test_seeded_sweep_prunes_nodes_with_identical_results(b1):
             "fresh_sweep_nodes": fresh_nodes,
             "seeded_sweep_seconds": round(seeded_seconds, 3),
             "sweep_nodes_ratio": round(ratio, 3),
-        }
+        },
+        timings={"seeded_sweep": [seeded_seconds], "fresh_sweep": [fresh_seconds]},
     )
     emit(
         "Spec-level dominance pruning -- seeded vs fresh optimal sweeps "
@@ -255,10 +264,13 @@ def test_certification_floor_node_counts(b1, loads):
     optimum.
     """
     nodes = {}
+    floor_samples = []
     for name, base_nodes in CERT_FLOOR_BASE_NODES.items():
+        started = time.perf_counter()
         result = find_optimal_schedule_batched(
             [b1, b1], loads[name], **CERT_FLOOR_SETTINGS
         )
+        floor_samples.append(time.perf_counter() - started)
         assert result.complete
         # Tolerance searches trade certification for speed, never result
         # quality below the reference revision's.
@@ -289,7 +301,11 @@ def test_certification_floor_node_counts(b1, loads):
             "certification_floor_base_nodes": dict(CERT_FLOOR_BASE_NODES),
             "certification_floor_nodes": nodes,
             "certification_nodes_ratio": round(ratio, 3),
-        }
+        },
+        timings={
+            f"certification_floor {name}": [seconds]
+            for name, seconds in zip(CERT_FLOOR_BASE_NODES, floor_samples)
+        },
     )
     emit(
         "Recovery-limited bound -- fresh certification-floor node counts "

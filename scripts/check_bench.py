@@ -11,9 +11,11 @@ fraction (default 30%).  Without a fresh ``REPRO_BENCH_RECORD=1`` run the
 working tree still holds the baselines and the comparison is trivial.
 
 Noise tolerance: only machine-relative *ratios* are compared -- the
-batch-vs-scalar speedup of the engine records and the cache-hit time against
-the scalar reference in the sweep record -- never absolute seconds or rates, so a slow or busy CI
-runner does not trip the gate (both sides of a ratio slow down together).
+batch-vs-scalar speedup of the engine records, the dKiBaM segment kernel
+against the scalar ticks, and the cache-hit time against the scalar
+reference in the sweep record -- never absolute seconds or rates, so a slow
+or busy CI runner does not trip the gate (both sides of a ratio slow down
+together).
 
 Usage::
 
@@ -53,10 +55,15 @@ from typing import List, Optional, Tuple
 #: is the without-over-with expanded-node ratio of the group-wise symmetry
 #: reduction on identical-subgroup fleets (deterministic -- a drop means
 #: permuted-duplicate schedules stopped being pruned).
+#: ``segment_kernel_speedup`` is the per-tick scalar ``run_segment`` time
+#: over the optimal search's dKiBaM segment kernel on one fixed lane batch
+#: of the certified ``ILs 250`` search (a drop means the kernel's closed
+#: forms fell back towards per-event work).
 CHECKS: Tuple[Tuple[str, str], ...] = (
     ("BENCH_engine.json", "speedup"),
     ("BENCH_sweep.json", "cache_hit_vs_scalar"),
     ("BENCH_dkibam.json", "speedup"),
+    ("BENCH_dkibam.json", "segment_kernel_speedup"),
     ("BENCH_optimal.json", "speedup"),
     ("BENCH_optimal.json", "sweep_nodes_ratio"),
     ("BENCH_optimal.json", "certification_nodes_ratio"),

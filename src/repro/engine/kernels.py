@@ -29,6 +29,7 @@ agree unit for unit and tick for tick, not merely to a float tolerance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -242,6 +243,27 @@ class DiscreteKernelParams:
             tables=tables,
             table_id=flat_ids.reshape(shape),
         )
+
+    @functools.cached_property
+    def recovery_prefix(self) -> np.ndarray:
+        """Cumulative equation-(6) recovery ticks of :attr:`tables`, rows stacked.
+
+        ``recovery_prefix[k, j] - recovery_prefix[k, i]`` (``1 <= i <= j``)
+        is the number of idle ticks the height difference needs to fall
+        from ``j`` to ``i`` units under parameter set ``k``.  Heights 0 and
+        1 never recover and add nothing; the :data:`DISCRETE_UNREACHABLE`
+        padding past a shorter row's heights (which no lane of that row
+        reaches) counts one tick each, so the sums stay far from overflow.
+        Row ``k`` is offset by ``k`` times a stride above every row's total,
+        so the flattened table is sorted and one ``searchsorted`` serves
+        lanes of every row at once.  Derived once per parameter set.
+        """
+        heights = np.arange(self.tables.shape[1])
+        steps = np.where(self.tables >= DISCRETE_UNREACHABLE, 1, self.tables)
+        sums = np.cumsum(np.where(heights >= 2, steps, 0), axis=1)
+        stride = int(sums[:, -1].max()) + 1
+        rows = np.arange(self.tables.shape[0], dtype=np.int64)
+        return sums + stride * rows[:, None]
 
     @property
     def per_scenario(self) -> bool:

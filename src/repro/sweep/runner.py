@@ -386,16 +386,21 @@ class SweepRunner:
         spec_hash = None
         if self.store is not None:
             spec_hash = self.store.ensure_entry(spec)
-        # When every chunk is already stored, a re-run is a pure read: the
-        # label-only expansion skips load materialization (seeded random
-        # loads in particular), so cache hits cost file IO, not sampling.
-        fully_cached = (
-            not force
-            and self.store is not None
-            and len(self.store.completed_chunks(spec_hash, len(bounds)))
-            == len(bounds)
+        pending = [
+            chunk_index
+            for chunk_index in range(len(bounds))
+            if force
+            or self.store is None
+            or not self.store.has_chunk(spec_hash, chunk_index)
+        ]
+        # Loads are materialized for the pending chunks only: a cached chunk
+        # needs its labels alone, so a full cache hit costs file IO and a
+        # resume draws just the random samples it recomputes.
+        points = spec.expand(
+            only=None
+            if len(pending) == len(bounds)
+            else [index for chunk in pending for index in range(*bounds[chunk])]
         )
-        points = spec.expand_labels() if fully_cached else spec.expand()
         stats = SweepStats(n_scenarios=len(points), n_chunks=len(bounds))
 
         lifetimes = {
@@ -441,16 +446,8 @@ class SweepRunner:
                 if policy in seeded and "seeded" in fields:
                     seeded[policy][start:stop] = fields["seeded"].astype(bool)
 
-        pending: List[int] = []
-        for chunk_index, (start, stop) in enumerate(bounds):
-            cached = (
-                not force
-                and self.store is not None
-                and self.store.has_chunk(spec_hash, chunk_index)
-            )
-            if not cached:
-                pending.append(chunk_index)
-                continue
+        for chunk_index in sorted(set(range(len(bounds))).difference(pending)):
+            start, stop = bounds[chunk_index]
             collect(
                 chunk_index,
                 self.store.load_chunk(spec_hash, chunk_index, spec.policies),

@@ -24,7 +24,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.kibam.parameters import BatteryParameters
 from repro.workloads.generator import (
@@ -225,11 +225,15 @@ class LoadAxis:
         )
 
     # -- resolution ----------------------------------------------------- #
-    def resolve(self) -> List[Tuple[str, Load]]:
-        """Expand this axis into ``(group_label, load)`` pairs, in order."""
-        if self.kind == "paper":
-            named = paper_loads()
-            return [(name, named[name]) for name in self.payload["names"]]
+    def resolve(
+        self, positions: Optional[Sequence[int]] = None
+    ) -> List[Tuple[str, Load]]:
+        """Expand this axis into ``(group_label, load)`` pairs, in order.
+
+        ``positions`` picks entries by index (default: all).  A random axis
+        then draws only the picked samples: sample ``i`` has its own seed
+        ``seed + i``, so any subset draws the same loads as the full axis.
+        """
         if self.kind == "random":
             cfg_dict = dict(self.payload["config"])
             cfg = RandomLoadConfig(
@@ -241,10 +245,20 @@ class LoadAxis:
             )
             seed = self.payload["seed"]
             label = f"random(seed={seed})"
+            if positions is None:
+                positions = range(self.payload["n_samples"])
             return [
                 (label, generate_random_load(seed + index, cfg))
-                for index in range(self.payload["n_samples"])
+                for index in positions
             ]
+        pairs = self._resolve_all()
+        return pairs if positions is None else [pairs[i] for i in positions]
+
+    def _resolve_all(self) -> List[Tuple[str, Load]]:
+        """Every ``(group_label, load)`` pair of a non-random axis."""
+        if self.kind == "paper":
+            named = paper_loads()
+            return [(name, named[name]) for name in self.payload["names"]]
         if self.kind == "generator":
             load = make_load(self.payload["name"], **dict(self.payload["kwargs"]))
             return [(self.payload["label"], load)]
@@ -299,9 +313,9 @@ class LoadAxis:
 class ScenarioPoint:
     """One expanded scenario: a battery configuration under one load.
 
-    ``load`` is ``None`` in label-only expansions (see
-    :meth:`SweepSpec.expand_labels`), which the runner uses when every
-    chunk is already stored and only aggregation labels are needed.
+    ``load`` is ``None`` where an expansion left it out (see
+    :meth:`SweepSpec.expand`): the runner builds loads only for the chunks
+    it computes, since stored chunks need aggregation labels alone.
     """
 
     index: int
@@ -351,7 +365,7 @@ def optimal_seed_chains(points: Sequence["ScenarioPoint"]) -> List[List[int]]:
     groups: dict = {}
     for position, point in enumerate(points):
         if point.load is None:
-            # Label-only expansion (fully cached sweep): nothing to run.
+            # Label-only point (its chunk is stored): nothing to run.
             key = ("label-only", position)
         else:
             key = (
@@ -589,39 +603,48 @@ class SweepSpec:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     # -- expansion ------------------------------------------------------ #
-    def expand(self) -> List[ScenarioPoint]:
-        """The ordered scenario list: battery-major over the resolved loads."""
-        resolved = [pair for axis in self.loads for pair in axis.resolve()]
-        points: List[ScenarioPoint] = []
-        for index, (config, (load_label, load)) in enumerate(
-            itertools.product(self.batteries, resolved)
-        ):
-            points.append(
-                ScenarioPoint(
-                    index=index,
-                    battery_label=config.label,
-                    battery_params=config.params,
-                    load_label=load_label,
-                    load=load,
-                )
-            )
-        return points
+    def expand(self, only: Optional[Iterable[int]] = None) -> List[ScenarioPoint]:
+        """The ordered scenario list: battery-major over the resolved loads.
 
-    def expand_labels(self) -> List[ScenarioPoint]:
-        """Label-only expansion: same order as :meth:`expand`, loads unset."""
-        labels = [label for axis in self.loads for label in axis.labels()]
+        ``only`` names the scenario indices whose loads are materialized
+        (default: all); every other point carries its labels alone, with
+        ``load=None``.  The store-backed runner passes its pending chunks'
+        scenarios, so a resume draws only the random samples it computes.
+        """
+        if only is None:
+            resolved = [pair for axis in self.loads for pair in axis.resolve()]
+        else:
+            labels = [axis.labels() for axis in self.loads]
+            n_loads = sum(len(axis_labels) for axis_labels in labels)
+            wanted = {index % n_loads for index in only}
+            resolved = []
+            for axis, axis_labels in zip(self.loads, labels):
+                offset = len(resolved)
+                picked = [i for i in range(len(axis_labels)) if offset + i in wanted]
+                loads = (
+                    dict(zip(picked, (load for _, load in axis.resolve(picked))))
+                    if picked
+                    else {}
+                )
+                resolved.extend(
+                    (label, loads.get(i)) for i, label in enumerate(axis_labels)
+                )
         return [
             ScenarioPoint(
                 index=index,
                 battery_label=config.label,
                 battery_params=config.params,
                 load_label=load_label,
-                load=None,
+                load=load,
             )
-            for index, (config, load_label) in enumerate(
-                itertools.product(self.batteries, labels)
+            for index, (config, (load_label, load)) in enumerate(
+                itertools.product(self.batteries, resolved)
             )
         ]
+
+    def expand_labels(self) -> List[ScenarioPoint]:
+        """Label-only expansion: same order as :meth:`expand`, loads unset."""
+        return self.expand(only=())
 
     @property
     def n_scenarios(self) -> int:

@@ -142,6 +142,23 @@ class TestGateDecisions:
              "--baseline-dir", str(tmp_path / "base")]
         ) == 1
 
+    def test_dkibam_segment_kernel_ratio_is_gated(self, check_bench, tmp_path):
+        """The dKiBaM segment kernel's ratio over the per-tick scalar ticks
+        is gated next to the batch-engine ratio of the same record: halving
+        it alone must fail, and a record that lacks it fails too."""
+        pair = ("BENCH_dkibam.json", "segment_kernel_speedup")
+        assert pair in check_bench.CHECKS
+        fresh = all_checks(check_bench, 20.0)
+        fresh[pair] = 10.0
+        write_records(tmp_path / "fresh", fresh)
+        write_records(tmp_path / "base", all_checks(check_bench, 20.0))
+        args = ["--fresh-dir", str(tmp_path / "fresh"),
+                "--baseline-dir", str(tmp_path / "base")]
+        assert check_bench.main(args) == 1
+        del fresh[pair]
+        write_records(tmp_path / "fresh", fresh)
+        assert check_bench.main(args) == 1
+
     def test_sweep_cache_hit_is_gated_against_scalar(self, check_bench, tmp_path):
         """The sweep record is gated on the cache-hit time against the
         scalar reference: halving that ratio alone must fail."""

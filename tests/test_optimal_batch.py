@@ -44,8 +44,9 @@ from repro.engine.optimal_batch import (
     find_optimal_schedule_batched,
     optimal_schedules_batch,
 )
-from repro.kibam.discrete import DiscreteBatteryState, DiscreteKibam
-from repro.kibam.parameters import B1, BatteryParameters
+from repro.engine.kernels import DISCRETE_UNREACHABLE, KernelParams
+from repro.kibam.discrete import DiscreteBatteryState, DiscreteKibam, DischargeSpec
+from repro.kibam.parameters import B1, B2, BatteryParameters
 from repro.workloads.load import Epoch, Load
 from repro.workloads.profiles import PAPER_LOAD_NAMES, paper_loads
 
@@ -980,8 +981,23 @@ class TestVectorDominanceArchive:
 
 
 class TestDiscreteSegmentKernel:
-    def _scalar_reference(self, model, state, current, ticks):
-        spec = model.discharge_spec(current) if current > 0.0 else None
+    """``discrete_segment_array`` against the per-tick ``DiscreteKibam.tick``.
+
+    Every output of every lane -- counters, accumulator, rate and empty
+    tick -- must equal the scalar oracle exactly, on every state the scalar
+    model can reach (``n + m <= N``, no recovery counter at or below one
+    height unit).  The kernel's closed forms have their own edge cases,
+    each pinned here: padded multi-row tables, several draws per tick,
+    lanes that start critical or fresh, zero-tick lanes, idle segments
+    crossing many recovery steps, serving segments longer than the
+    look-ahead window, and the recovery-counter clamp.
+    """
+
+    DISCRETIZATIONS = ((0.01, 0.01), (0.05, 0.05), (0.1, 0.1))
+    BATTERIES = (B1, B2, B1.scaled(0.5))
+
+    @staticmethod
+    def _oracle(model, state, spec, ticks):
         empty_tick = None
         for tick in range(1, ticks + 1):
             state = model.tick(state, spec)
@@ -990,91 +1006,212 @@ class TestDiscreteSegmentKernel:
                 break
         return state, empty_tick
 
+    def _setup(self, time_step, charge_unit, batteries=None):
+        """Padded kernel tables (one row per battery) and the scalar models."""
+        batteries = self.BATTERIES if batteries is None else batteries
+        dp = KernelParams.from_parameters(batteries).discretize(time_step, charge_unit)
+        models = [DiscreteKibam(p, time_step, charge_unit) for p in batteries]
+        return dp, models
+
+    def _check(self, dp, models, lanes):
+        """Run ``(battery, state, spec or None, ticks)`` lanes through the
+        kernel, assert the oracle's result lane by lane, return the outputs."""
+        battery = np.array([lane[0] for lane in lanes], dtype=np.int64)
+
+        def column(values):
+            return np.array(list(values), dtype=np.int64)
+
+        states = [lane[1] for lane in lanes]
+        specs = [lane[2] for lane in lanes]
+        out = discrete_segment_array(
+            dp.tables,
+            dp.recovery_prefix,
+            dp.table_id[battery],
+            dp.c_permille[battery],
+            column(s.n for s in states),
+            column(s.m for s in states),
+            column(s.recov_ticks for s in states),
+            column(s.disch_ticks for s in states),
+            column(s.disch_rate[0] for s in states),
+            column(s.disch_rate[1] for s in states),
+            column(spec.cur if spec else 0 for spec in specs),
+            column(spec.cur_times if spec else 1 for spec in specs),
+            column(lane[3] for lane in lanes),
+        )
+        for index, (b, state, spec, ticks) in enumerate(lanes):
+            ref, ref_empty = self._oracle(models[b], state, spec, ticks)
+            expected = (
+                ref.n,
+                ref.m,
+                ref.recov_ticks,
+                ref.disch_ticks,
+                *ref.disch_rate,
+                -1 if ref_empty is None else ref_empty,
+            )
+            got = tuple(int(array[index]) for array in out)
+            assert got == expected, (index, b, state, spec, ticks)
+        return out
+
+    @staticmethod
+    def _random_state(rng, model, spec_choices):
+        """A state the scalar model can reach: ``n + m <= N`` and no
+        recovery counter at or below one height unit."""
+        total = model.total_units
+        n = int(rng.integers(1, total + 1))
+        m = int(rng.integers(0, total - n + 1))
+        rate = spec_choices[int(rng.integers(len(spec_choices)))]
+        if rate is None:
+            return DiscreteBatteryState(n=n, m=m, recov_ticks=int(rng.integers(60)) * (m > 1))
+        return DiscreteBatteryState(
+            n=n,
+            m=m,
+            disch_ticks=int(rng.integers(rate.cur_times)),
+            disch_rate=(rate.cur, rate.cur_times),
+            recov_ticks=int(rng.integers(60)) * (m > 1),
+        )
+
+    @pytest.mark.parametrize("time_step,charge_unit", DISCRETIZATIONS)
+    def test_padded_multi_row_tables_with_several_draws_per_tick(
+        self, time_step, charge_unit
+    ):
+        dp, models = self._setup(time_step, charge_unit)
+        # The smaller battery's row is padded past its own heights.
+        assert len(models[2].recovery_steps) < dp.tables.shape[1]
+        specs = [
+            None,
+            DischargeSpec(1, 4),
+            DischargeSpec(1, 2),
+            DischargeSpec(3, 2),  # several draws in one tick
+            DischargeSpec(5, 3),
+            DischargeSpec(2, 7),
+        ]
+        rng = np.random.default_rng(int(time_step * 1000))
+        lanes = []
+        for _ in range(60):
+            b = int(rng.integers(len(models)))
+            state = self._random_state(rng, models[b], specs)
+            spec = specs[int(rng.integers(len(specs)))]
+            lanes.append((b, state, spec, int(rng.integers(0, 400))))
+        self._check(dp, models, lanes)
+
+    def test_lanes_starting_critical_and_fresh(self):
+        dp, models = self._setup(0.05, 0.05)
+        model = models[0]
+        cp = model.c_permille
+        lanes = []
+        for n in (1, 2, 5, 20):
+            # The smallest height at which the battery already reads empty,
+            # and one unit above it.
+            m = -(-cp * n // (1000 - cp))
+            for extra in (0, 1):
+                state = DiscreteBatteryState(
+                    n=n, m=m + extra, recov_ticks=3 * (m + extra > 1)
+                )
+                assert model.is_empty(state)
+                for spec in (None, DischargeSpec(1, 4), DischargeSpec(3, 2)):
+                    lanes.append((0, state, spec, 200))
+        fresh = [DiscreteBatteryState(n=model.total_units, m=h) for h in (0, 1)]
+        for state in fresh:
+            for spec in (None, DischargeSpec(1, 2), DischargeSpec(5, 3)):
+                lanes.append((0, state, spec, 150))
+        out = self._check(dp, models, lanes)
+        # Some critical lanes recover before their first draw, some do not.
+        assert (out[6] > 0).any() and (out[6] == -1).any()
+
+    def test_zero_tick_lanes_are_untouched(self):
+        dp, models = self._setup(0.05, 0.05)
+        state = DiscreteBatteryState(
+            n=50, m=30, disch_ticks=1, disch_rate=(1, 4), recov_ticks=7
+        )
+        lanes = [(b, state, spec, 0) for b in (0, 2) for spec in (None, DischargeSpec(1, 2))]
+        # A zero-tick lane in a batch with running lanes keeps its state,
+        # its accumulator and its rate exactly.
+        lanes.append((0, state, DischargeSpec(1, 2), 50))
+        out = self._check(dp, models, lanes)
+        assert out[3][:4].tolist() == [1] * 4 and out[4][:4].tolist() == [1] * 4
+
+    @pytest.mark.parametrize("time_step,charge_unit", DISCRETIZATIONS)
+    def test_long_idle_segments_cross_many_recovery_steps(
+        self, time_step, charge_unit
+    ):
+        dp, models = self._setup(time_step, charge_unit)
+        lanes = []
+        for b, model in enumerate(models):
+            total = model.total_units
+            for m, recov in ((total // 2, 0), (total // 3, 5), (total // 4, 10**6), (2, 1)):
+                state = DiscreteBatteryState(n=total - m, m=m, recov_ticks=recov)
+                for ticks in (1000, 2500, 6000):
+                    lanes.append((b, state, None, ticks))
+        out = self._check(dp, models, lanes)
+        start = np.array([lane[1].m for lane in lanes])
+        assert (start - out[1]).max() >= 20
+
+    def test_serving_segments_longer_than_the_window(self):
+        from repro.engine.optimal_batch import _SERVE_WINDOW
+
+        dp, models = self._setup(0.01, 0.01)
+        lanes = []
+        for b in range(len(models)):
+            for m in (0, 1, 2, 30, 120):
+                state = DiscreteBatteryState(n=models[b].total_units - m, m=m)
+                # Slow rates draw nothing for several windows in a row.
+                for spec in (DischargeSpec(1, 4), DischargeSpec(1, 97), DischargeSpec(2, 250)):
+                    lanes.append((b, state, spec, 7 * _SERVE_WINDOW + 5))
+        self._check(dp, models, lanes)
+
     def test_matches_run_segment_over_random_histories(self):
         params = BatteryParameters(capacity=1.0, c=0.166, k_prime=0.122)
-        model = DiscreteKibam(params, time_step=0.05, charge_unit=0.05)
+        dp, models = self._setup(0.05, 0.05, batteries=(params,))
+        model = models[0]
         rng = np.random.default_rng(5)
-        spec_by_current = {c: model.discharge_spec(c) for c in (0.25, 0.5)}
-        n_lanes = 16
-        states = [model.initial_state() for _ in range(n_lanes)]
-        done = [False] * n_lanes
-        tables = np.array([model.recovery_steps], dtype=np.int64)
+        specs = {0.0: None, 0.25: model.discharge_spec(0.25), 0.5: model.discharge_spec(0.5)}
+        states = [model.initial_state() for _ in range(16)]
+        done = [False] * len(states)
         for _ in range(12):
-            currents = rng.choice([0.0, 0.25, 0.5], size=n_lanes)
-            ticks = rng.integers(1, 40, size=n_lanes)
-            live = [i for i in range(n_lanes) if not done[i]]
+            live = [i for i in range(len(states)) if not done[i]]
             if not live:
                 break
-            cur = np.array(
-                [spec_by_current[currents[i]].cur if currents[i] else 0 for i in live],
-                dtype=np.int64,
-            )
-            ct = np.array(
-                [
-                    spec_by_current[currents[i]].cur_times if currents[i] else 1
-                    for i in live
-                ],
-                dtype=np.int64,
-            )
-            lane_ticks = np.array([ticks[i] for i in live], dtype=np.int64)
-            n = np.array([states[i].n for i in live], dtype=np.int64)
-            m = np.array([states[i].m for i in live], dtype=np.int64)
-            rec = np.array([states[i].recov_ticks for i in live], dtype=np.int64)
-            acc = np.array([states[i].disch_ticks for i in live], dtype=np.int64)
-            rcur = np.array([states[i].disch_rate[0] for i in live], dtype=np.int64)
-            rct = np.array([states[i].disch_rate[1] for i in live], dtype=np.int64)
-            out = discrete_segment_array(
-                tables,
-                np.zeros(len(live), dtype=np.int64),
-                np.full(len(live), model.c_permille, dtype=np.int64),
-                n, m, rec, acc, rcur, rct, cur, ct, lane_ticks,
-            )
-            n2, m2, rec2, acc2, rcur2, rct2, empty_tick = out
+            currents = rng.choice(list(specs), size=len(live))
+            lanes = [
+                (0, states[i], specs[current], int(rng.integers(1, 40)))
+                for i, current in zip(live, currents)
+            ]
+            n, m, rec, acc, rcur, rct, empty_tick = self._check(dp, models, lanes)
             for row, i in enumerate(live):
-                ref_state, ref_empty = self._scalar_reference(
-                    model, states[i], float(currents[i]), int(ticks[i])
+                done[i] = empty_tick[row] >= 0
+                states[i] = DiscreteBatteryState(
+                    n=int(n[row]),
+                    m=int(m[row]),
+                    disch_ticks=int(acc[row]),
+                    disch_rate=(int(rcur[row]), int(rct[row])),
+                    recov_ticks=int(rec[row]),
                 )
-                assert (n2[row], m2[row]) == (ref_state.n, ref_state.m), (row, i)
-                assert rec2[row] == ref_state.recov_ticks
-                assert acc2[row] == ref_state.disch_ticks
-                assert (rcur2[row], rct2[row]) == ref_state.disch_rate
-                expected_tick = -1 if ref_empty is None else ref_empty
-                assert empty_tick[row] == expected_tick
-                if ref_empty is not None:
-                    done[i] = True
-                else:
-                    states[i] = DiscreteBatteryState(
-                        n=int(n2[row]),
-                        m=int(m2[row]),
-                        disch_ticks=int(acc2[row]),
-                        disch_rate=(int(rcur2[row]), int(rct2[row])),
-                        recov_ticks=int(rec2[row]),
-                    )
+        assert any(done)
 
     def test_draw_can_outpace_the_recovery_counter(self):
         # The clamp regression from the batch engine: a draw raises m into a
         # shorter recovery step than the accumulated counter; the next
         # recovery event must fire one tick later, not steps[m]-rec later.
         params = BatteryParameters(capacity=0.5, c=0.5, k_prime=1.8)
-        model = DiscreteKibam(params, time_step=0.05, charge_unit=0.05)
-        state = model.initial_state()
-        ref_state, ref_empty = self._scalar_reference(model, state, 0.5, 120)
-        out = discrete_segment_array(
-            np.array([model.recovery_steps], dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.array([model.c_permille], dtype=np.int64),
-            np.array([state.n], dtype=np.int64),
-            np.array([state.m], dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            np.array([model.discharge_spec(0.5).cur], dtype=np.int64),
-            np.array([model.discharge_spec(0.5).cur_times], dtype=np.int64),
-            np.array([120], dtype=np.int64),
-        )
-        assert (out[0][0], out[1][0]) == (ref_state.n, ref_state.m)
-        assert out[6][0] == (-1 if ref_empty is None else ref_empty)
+        dp, models = self._setup(0.05, 0.05, batteries=(params,))
+        spec = models[0].discharge_spec(0.5)
+        self._check(dp, models, [(0, models[0].initial_state(), spec, 120)])
+        # The same clamp on an idle lane whose counter already exceeds its
+        # step: the first recovery fires on the first tick.
+        state = DiscreteBatteryState(n=5, m=4, recov_ticks=10**4)
+        self._check(dp, models, [(0, state, None, 1), (0, state, None, 30)])
+
+    def test_recovery_prefix_sums_each_row(self):
+        dp, _ = self._setup(0.05, 0.05)
+        prefix = dp.recovery_prefix
+        assert np.all(np.diff(prefix.ravel()) >= 0)
+        for row, table in enumerate(dp.tables):
+            real = table < DISCRETE_UNREACHABLE
+            real[:2] = False
+            heights = np.flatnonzero(real)
+            sums = np.cumsum(table[heights])
+            assert (prefix[row, heights] - prefix[row, 1]).tolist() == sums.tolist()
+            assert prefix[row, 0] == prefix[row, 1]
 
 
 class TestPoolingBoundParity:

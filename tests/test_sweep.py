@@ -258,6 +258,58 @@ class TestRunnerCaching:
                 resumed.lifetimes[policy], full.lifetimes[policy]
             )
 
+    def test_resume_draws_only_the_missing_random_loads(
+        self, tmp_path, monkeypatch
+    ):
+        """A resume materializes the pending chunks' loads, not the axis:
+        with 1 of 4 chunks gone, 256 of 1000 random samples are drawn."""
+        from repro.sweep import spec as sweep_spec
+
+        spec = small_spec(chunk_size=256, n_samples=1000)
+        store = ResultStore(tmp_path / "store")
+        runner = SweepRunner(store)
+        full = runner.run(spec)
+        store._chunk_path(spec.spec_hash(), 1).unlink()
+        drawn = []
+        original = sweep_spec.generate_random_load
+
+        def counting(seed, config):
+            drawn.append(seed)
+            return original(seed, config)
+
+        monkeypatch.setattr(sweep_spec, "generate_random_load", counting)
+        resumed = runner.run(spec)
+        assert resumed.stats.chunks_run == 1
+        assert sorted(drawn) == [3 + index for index in range(256, 512)]
+        assert_same_results(resumed, full)
+        # A full cache hit draws nothing at all.
+        drawn.clear()
+        runner.run(spec)
+        assert drawn == []
+
+    def test_resume_keeps_seeded_optimal_chains(self, tmp_path):
+        """Seeding chains run inside a chunk, so a resumed chunk seeds its
+        searches exactly as the fresh run did: every optimal field --
+        nodes and seeded flags included -- is bitwise equal."""
+        spec = SweepSpec(
+            name="resume-chains",
+            batteries=battery_grid([0.8, 0.9, 1.0], c=0.166, k_prime=0.122),
+            loads=(LoadAxis.random(3, seed=5, config=FAST_CONFIG),),
+            policies=("sequential",),
+            chunk_size=5,
+        ).with_optimal()
+        store = ResultStore(tmp_path / "store")
+        fresh = SweepRunner(store).run(spec)
+        assert fresh.seeded["optimal"].any()
+        store._chunk_path(spec.spec_hash(), 0).unlink()
+        resumed = SweepRunner(store).run(spec)
+        assert resumed.stats.chunks_run == 1
+        assert_same_results(resumed, fresh)
+        for field in ("complete", "nodes", "seeded"):
+            np.testing.assert_array_equal(
+                getattr(resumed, field)["optimal"], getattr(fresh, field)["optimal"]
+            )
+
     def test_half_written_chunk_is_ignored(self, tmp_path):
         """A truncated temp file from a killed run never poisons the store."""
         spec = small_spec(chunk_size=5, n_samples=10)
