@@ -18,9 +18,9 @@ cares about (the scalar equivalent takes ~30s and is not re-measured here;
 its node rate is what the gate compares).
 
 The acceptance bar of the batched-optimal PR is a 3x node-throughput ratio
-on one core (observed: ~5-7x since the frontier-array refactor);
-``scripts/check_bench.py`` tracks the recorded ratio against the committed
-baseline thereafter.
+on one core (observed: about 8-9x, the median of five alternating
+scalar/batched rounds); ``scripts/check_bench.py`` tracks the recorded
+ratio against the committed baseline thereafter.
 
 A second harness measures *spec-level dominance pruning*: the sweep
 runner's cross-grid-point incumbent seeding on a table5-style capacity
@@ -57,9 +57,12 @@ MEASURE_NODES = 1500
 #: The sweep-column settings (state-merge tolerance of half a charge unit).
 TOLERANCE = 0.005
 
+#: Alternating scalar/batched rounds of the node-throughput harness.
+THROUGHPUT_ROUNDS = 5
+
 
 @pytest.mark.benchmark(group="optimal")
-def test_optimal_batch_node_throughput(benchmark, loads, b1):
+def test_optimal_batch_node_throughput(loads, b1):
     load = loads["ILs 250"]
 
     def scalar_search():
@@ -72,23 +75,29 @@ def test_optimal_batch_node_throughput(benchmark, loads, b1):
             [b1, b1], load, dominance_tolerance=TOLERANCE, max_nodes=MEASURE_NODES
         )
 
-    # Scalar reference: one warmup, then the best of two timed repeats
-    # (mirrors the min-of-rounds treatment the batch side gets).
+    # The host's speed drifts within seconds, so the two sides alternate:
+    # after one warm-up search each, every round times one scalar search
+    # and the best of two batched searches, and the recorded speedup is the
+    # median of the per-round ratios (both sides expand the same node
+    # budget, so a ratio of times is a ratio of node rates).
     scalar_search()
-    scalar_samples = []
-    for _ in range(2):
+    batched_search()
+    scalar_samples, batched_samples, batched_best = [], [], []
+    for _ in range(THROUGHPUT_ROUNDS):
         start = time.perf_counter()
         scalar_result = scalar_search()
         scalar_samples.append(time.perf_counter() - start)
-    scalar_seconds = min(scalar_samples)
-    scalar_rate = scalar_result.nodes_expanded / scalar_seconds
-
-    batched_result = benchmark.pedantic(
-        batched_search, rounds=3, iterations=1, warmup_rounds=1
+        for _ in range(2):
+            start = time.perf_counter()
+            batched_result = batched_search()
+            batched_samples.append(time.perf_counter() - start)
+        batched_best.append(min(batched_samples[-2:]))
+    speedup = float(
+        np.median([s / b for s, b in zip(scalar_samples, batched_best)])
     )
-    batched_seconds = benchmark.stats.stats.min
+    scalar_rate = scalar_result.nodes_expanded / float(np.median(scalar_samples))
+    batched_seconds = float(np.median(batched_best))
     batched_rate = batched_result.nodes_expanded / batched_seconds
-    speedup = batched_rate / scalar_rate
 
     # Both sides did real, budgeted work.
     assert scalar_result.nodes_expanded == MEASURE_NODES
@@ -132,7 +141,7 @@ def test_optimal_batch_node_throughput(benchmark, loads, b1):
         },
         timings={
             "scalar_search": scalar_samples,
-            "batched_search": list(benchmark.stats.stats.data),
+            "batched_search": batched_samples,
             "table5_optimal_column": [table5_seconds],
         },
     )

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, write_bench_record
-from repro.analysis.montecarlo import lifetime_distribution, render_distributions
+from repro.analysis.montecarlo import render_distributions, run_montecarlo
 from repro.core.simulator import simulate_policy
 from repro.engine import BatchSimulator, ScenarioSet
 from repro.kibam.parameters import B1
@@ -24,12 +24,12 @@ def test_random_load_distribution(benchmark, b1):
     config = ILS_LIKE_RANDOM_CONFIG
 
     def sweep():
-        return lifetime_distribution(
+        return run_montecarlo(
             [B1, B1],
             n_samples=20,
+            policies=("sequential", "round-robin", "best-of-two", "optimal"),
             config=config,
             seed=42,
-            include_optimal=True,
             optimal_max_nodes=4000,
         )
 

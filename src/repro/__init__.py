@@ -14,8 +14,7 @@ and Katoen (DSN 2009):
   substrate,
 * :mod:`repro.engine` -- the vectorized batch execution engine: NumPy
   KiBaM kernels, array policies and a lock-step many-scenario simulator
-  for fleet-scale sweeps (plus a multiprocessing executor for workloads
-  that scale across cores),
+  for fleet-scale sweeps,
 * :mod:`repro.sweep` -- declarative experiment orchestration: sweep specs
   over battery-parameter grids, loads and policies, a content-addressed
   result store with chunked resume, and the ``python -m repro sweep`` CLI,

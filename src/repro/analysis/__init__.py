@@ -23,7 +23,6 @@ from repro.analysis.report import (
 from repro.analysis.montecarlo import (
     LifetimeDistribution,
     MonteCarloResult,
-    lifetime_distribution,
     render_distributions,
     run_montecarlo,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "render_figure6_summary",
     "LifetimeDistribution",
     "MonteCarloResult",
-    "lifetime_distribution",
     "render_distributions",
     "run_montecarlo",
 ]

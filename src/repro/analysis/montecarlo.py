@@ -8,21 +8,23 @@ and summarizes the lifetime distribution -- the simulation counterpart of
 the lifetime-distribution work the authors reference (Cloth et al.,
 DSN 2007).
 
-Two execution engines are available.  The ``"scalar"`` engine is the
-original pure-Python loop over :func:`repro.core.simulator.simulate_policy`
-and remains the golden reference.  The ``"batch"`` engine hands the whole
-sample set to :class:`repro.engine.batch.BatchSimulator`, which advances
-every scenario through vectorized NumPy kernels and delivers identical
-lifetimes (within the 1e-9 root-finder tolerance for the analytical model;
-*exactly*, tick for tick, for ``model="discrete"``) at well over an order
-of magnitude higher throughput.  ``"auto"`` picks the batch engine whenever
-the battery model and all requested policies are vectorizable.
+:func:`run_montecarlo` is a thin front end of the sweep layer: it states
+the samples as a :class:`repro.sweep.spec.SweepSpec` (a seeded random load
+axis, or the caller's explicit loads) and, on the vectorized battery models
+(``"analytical"`` and ``"discrete"``), runs it through
+:class:`repro.sweep.runner.SweepRunner` -- with a result store when
+``cache_dir`` is given, in memory otherwise.  Every other case (the
+``"linear"`` model, or ``engine="scalar"``) walks the same spec's loads
+through the scalar golden reference, :func:`repro.core.simulator.
+simulate_policy` and :func:`repro.core.optimal.find_optimal_schedule`, so
+both engines always see identical samples.  The batch engine matches the
+scalar loop within the 1e-9 root-finder tolerance on the analytical model
+and *exactly*, tick for tick, on the dKiBaM.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import statistics
 from typing import Dict, List, Optional, Sequence
 
@@ -30,17 +32,14 @@ import numpy as np
 
 from repro.core.optimal import find_optimal_schedule
 from repro.core.simulator import simulate_policy
-from repro.engine.batch import VECTOR_MODELS, BatchSimulator, resolve_model
-from repro.engine.optimal_batch import optimal_schedules_batch
-from repro.engine.parallel import (
-    optimal_lifetimes_chunk,
-    run_chunked,
-    simulate_lifetimes_chunk,
-)
-from repro.engine.policies import VectorPolicy, has_vector_policy
-from repro.engine.scenarios import ScenarioSet
+from repro.engine.batch import VECTOR_MODELS
 from repro.kibam.parameters import BatteryParameters
-from repro.sweep.spec import OPTIMAL_POLICY
+from repro.sweep import BatteryConfig, LoadAxis, ResultStore, SweepRunner, SweepSpec
+from repro.sweep.spec import (
+    DEFAULT_OPTIMAL_MAX_NODES,
+    DEFAULT_OPTIMAL_TOLERANCE,
+    OPTIMAL_POLICY,
+)
 from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG, RandomLoadConfig
 from repro.workloads.load import Load
 
@@ -126,338 +125,122 @@ def _require_lifetimes(
     return out
 
 
+def _scalar_lifetimes(spec: SweepSpec) -> Dict[str, List[Optional[float]]]:
+    """The golden-reference loop: one scalar run per (load, policy)."""
+    params = spec.batteries[0].params
+    loads = [point.load for point in spec.expand()]
+    per_sample: Dict[str, List[Optional[float]]] = {}
+    for policy in spec.policies:
+        if policy == OPTIMAL_POLICY:
+            per_sample[policy] = [
+                find_optimal_schedule(
+                    params,
+                    load,
+                    backend=spec.model,
+                    max_nodes=spec.optimal_max_nodes,
+                    dominance_tolerance=spec.optimal_dominance_tolerance,
+                ).lifetime
+                for load in loads
+            ]
+        else:
+            per_sample[policy] = [
+                simulate_policy(params, load, policy, backend=spec.model).lifetime
+                for load in loads
+            ]
+    return per_sample
+
+
 def run_montecarlo(
     params: Sequence[BatteryParameters],
     n_samples: int = 50,
     policies: Sequence[str] = ("sequential", "round-robin", "best-of-two"),
-    include_optimal: bool = False,
     config: Optional[RandomLoadConfig] = None,
     seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
     engine: str = "auto",
-    backend: Optional[str] = None,
-    optimal_max_nodes: Optional[int] = 20_000,
-    n_workers: int = 1,
+    optimal_max_nodes: Optional[int] = DEFAULT_OPTIMAL_MAX_NODES,
     loads: Optional[Sequence[Load]] = None,
     cache_dir: Optional[str] = None,
-    model: Optional[str] = None,
-    time_step: float = 0.01,
-    charge_unit: float = 0.01,
-    dominance_tolerance: float = 0.005,
+    model: str = "analytical",
+    dominance_tolerance: float = DEFAULT_OPTIMAL_TOLERANCE,
 ) -> MonteCarloResult:
     """Sample random loads and summarize the policy lifetimes on them.
 
     Args:
         params: battery parameter sets, one per battery.
         n_samples: number of random loads to draw.
-        policies: policies to evaluate on every sample.  The pseudo-policy
-            ``"optimal"`` is a first-class column: it runs one branch-and-
-            bound search per sample (batched through the engine kernels on
-            the vectorizable battery models, scalar otherwise) with the
-            ``optimal_max_nodes`` cap and the sweep state-merge tolerance.
-        include_optimal: legacy spelling of appending ``"optimal"`` to
-            ``policies``; the resulting column is labelled ``"optimal"``.
+        policies: registry names of the policies to evaluate on every
+            sample.  The pseudo-policy ``"optimal"`` is a first-class
+            column: one branch-and-bound search per sample with the
+            ``optimal_max_nodes`` cap and the ``dominance_tolerance``
+            state-merge tolerance.  Policy objects are rejected; run them
+            through :meth:`repro.engine.batch.BatchSimulator.run_many`.
         config: random-load configuration; the default produces ILs-like
             loads with mixed currents.
         seed: base seed; sample ``i`` uses ``seed + i`` (ignored when
-            ``rng`` or ``loads`` is given).
-        rng: an explicit :class:`numpy.random.Generator` to draw every
-            sample from one stream.  The loads are drawn exactly once, so
-            scalar and batch engines see identical samples either way.
-        engine: ``"scalar"`` (the golden-reference Python loop),
-            ``"batch"`` (the vectorized engine; non-vectorizable
-            model/policy combinations still run, scenario by scenario,
-            through the scalar fallback) or ``"auto"``.  The result's
-            ``engine`` field records the path that actually executed.
-        backend: battery model for the policy simulations (legacy name;
-            ``model`` is the preferred spelling).  Both ``"analytical"``
-            and ``"discrete"`` sweeps vectorize; ``"linear"`` runs scalar.
-        model: alias of ``backend``; passing both with different values is
-            an error.
+            ``loads`` is given).
+        engine: ``"batch"`` or ``"auto"`` run the sweep layer on the
+            vectorized models; ``"scalar"`` forces the golden-reference
+            Python loop.  The result's ``engine`` field records the path
+            that actually executed (non-vectorized models run scalar).
         optimal_max_nodes: node cap per optimal search.
-        n_workers: worker processes for the scalar and optimal sweeps
-            (``1`` runs inline; the batch engine itself is single-process
-            array code and ignores this).
         loads: explicit sample loads, overriding the random sampling; the
-            length overrides ``n_samples``.
+            length overrides ``n_samples``.  Draw them from one stream with
+            ``ScenarioSet.random(n, config, rng=...).loads``.
         cache_dir: directory of a :class:`repro.sweep.store.ResultStore`.
-            When given and the batch engine executes the sweep, the
-            deterministic-policy lifetimes are routed through the sweep
-            result store: a repeated call with the same seed/config/params
-            (or the same explicit loads) is a pure cache read instead of a
-            re-simulation, and an interrupted sweep resumes chunk by chunk.
-            The store is keyed by spec content, so scalar re-verification
-            runs (``engine="scalar"``), explicit ``rng`` streams and
-            non-string policy objects bypass it.  The optimal column is
-            stored too (its node cap and merge tolerance are part of the
-            spec hash), except on multiprocessing runs (``n_workers > 1``),
-            which keep the scalar worker path and bypass the store.
-        time_step / charge_unit: dKiBaM discretization (minutes / Amin;
-            ``model="discrete"`` only).  Threaded through *every* execution
-            path -- batch kernels, inline scalar loops and the
-            multiprocessing workers alike (the workers silently ran the
-            default 0.01 grid once; that bug is regression-tested now).
-            Non-default grids bypass the result store on the discrete
-            model, whose sweep specs pin the reference discretization;
-            analytical runs ignore the knobs and keep their cache.
+            Batch runs then read and fill the store: a repeated call with
+            the same samples, policies and settings is a pure cache read,
+            and an interrupted sweep resumes chunk by chunk.  Scalar runs
+            never touch the store.
+        model: battery model.  ``"analytical"`` and ``"discrete"`` (the
+            dKiBaM at the paper's reference 0.01 grid) vectorize;
+            ``"linear"`` runs scalar.
         dominance_tolerance: state-merge tolerance (Amin) of the optimal
             column's searches; the long-standing sweep default is half a
-            charge unit.  Part of the spec hash on store-routed runs.
+            charge unit.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known engines: {ENGINES}")
-    backend = resolve_model(model, backend)
-    load_config = config if config is not None else ILS_LIKE_RANDOM_CONFIG
-    # Sampling is deferred: a fully cached store run never touches the
-    # random loads, so drawing them here would put the (Python-loop) load
-    # generation back on the cache-hit path.
-    _scenarios: List[Optional[ScenarioSet]] = [None]
-
-    def get_scenarios() -> ScenarioSet:
-        if _scenarios[0] is None:
-            if loads is not None:
-                _scenarios[0] = ScenarioSet.from_loads(list(loads))
-            else:
-                _scenarios[0] = ScenarioSet.random(
-                    n_samples, load_config, seed=seed, rng=rng
-                )
-        return _scenarios[0]
-
-    if loads is not None:
-        n_samples = len(loads)
-    elif n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-
-    # Policies may be registry names or policy objects (vector or scalar);
-    # the result columns are always keyed by the policy's name.  The
-    # pseudo-policy "optimal" is split off: it is one branch-and-bound
-    # search per sample, not a policy simulation.
-    names = [policy if isinstance(policy, str) else policy.name for policy in policies]
-    if len(set(names)) != len(names):
-        raise ValueError(f"policy names must be unique, got {names}")
     for policy in policies:
-        if not isinstance(policy, str) and policy.name == OPTIMAL_POLICY:
+        if not isinstance(policy, str):
             raise ValueError(
-                "the 'optimal' column is computed by the branch-and-bound "
-                "search, so a policy *object* named 'optimal' would be "
-                "silently shadowed; rename the policy or pass the string "
-                "'optimal' to request the search column"
+                f"run_montecarlo takes policy names, got {policy!r}; run "
+                "policy objects through BatchSimulator.run_many"
             )
-    if include_optimal and OPTIMAL_POLICY not in names:
-        names = names + [OPTIMAL_POLICY]
-    optimal_requested = OPTIMAL_POLICY in names
-    sim_pairs = [
-        (name, policy)
-        for name, policy in zip(
-            [p if isinstance(p, str) else p.name for p in policies], policies
-        )
-        if name != OPTIMAL_POLICY
-    ]
-    sim_names = [name for name, _ in sim_pairs]
-    sim_policies = [policy for _, policy in sim_pairs]
-
-    vectorizable = backend in VECTOR_MODELS and all(
-        isinstance(policy, VectorPolicy)
-        or (isinstance(policy, str) and has_vector_policy(policy))
-        for policy in sim_policies
-    )
-    if engine == "auto":
-        engine = "batch" if vectorizable else "scalar"
-    # The result's engine label records the execution path that actually
-    # ran: requesting "batch" with a non-vectorizable backend/policy set
-    # still works, but runs scenario-by-scenario through the scalar
-    # fallback and is labelled accordingly.
-    executed_engine = "batch" if (engine == "batch" and vectorizable) else "scalar"
-
-    use_store = (
-        cache_dir is not None
-        and engine == "batch"
-        and vectorizable
-        and rng is None
-        and all(isinstance(policy, str) for policy in policies)
-        and not (optimal_requested and n_workers > 1)
-        # Sweep specs pin the reference discretization; a non-default grid
-        # must not alias the reference entries, so it runs store-less.
-        # Only the discrete model reads the grid -- analytical sweeps keep
-        # their cache whatever the (ignored) knobs say.
-        and (
-            backend != "discrete"
-            or (time_step == 0.01 and charge_unit == 0.01)
-        )
-    )
-
-    per_sample: Dict[str, List[float]] = {}
-    if use_store:
-        # Route the whole sweep -- deterministic policies and the optimal
-        # column alike -- through the content-addressed sweep store: the
-        # spec below reproduces this call's samples exactly (seeded sampling
-        # draws load i with seed + i on both paths), so a repeated
-        # distribution with the same seed/spec is a cache hit.
-        from repro.sweep import (
-            BatteryConfig,
-            LoadAxis,
-            ResultStore,
-            SweepRunner,
-            SweepSpec,
-        )
-
-        if loads is not None:
-            axis = LoadAxis.explicit(list(loads), label="montecarlo")
-        else:
-            axis = LoadAxis.random(n_samples, seed=seed, config=load_config)
-        spec = SweepSpec(
-            name="montecarlo",
-            batteries=(BatteryConfig(label="batteries", params=tuple(params)),),
-            loads=(axis,),
-            policies=tuple(names),
-            backend=backend,
-        )
-        if optimal_requested:
-            spec = spec.with_optimal(
-                max_nodes=optimal_max_nodes,
-                dominance_tolerance=dominance_tolerance,
-            )
-        sweep_result = SweepRunner(ResultStore(cache_dir)).run(spec)
-        for name in names:
-            per_sample[name] = _require_lifetimes(
-                sweep_result.per_sample[name], name
-            )
+    if loads is not None:
+        axis = LoadAxis.explicit(list(loads), label="montecarlo")
     else:
-        if engine == "batch" and sim_names:
-            simulator = BatchSimulator(
-                params,
-                backend=backend,
-                time_step=time_step,
-                charge_unit=charge_unit,
-            )
-            results = simulator.run_many(get_scenarios(), list(sim_policies))
-            for name in sim_names:
-                per_sample[name] = _require_lifetimes(
-                    results[name].lifetimes.tolist(), name
-                )
-        else:
-            for name, policy in sim_pairs:
-                if isinstance(policy, VectorPolicy):
-                    raise ValueError(
-                        f"the scalar engine cannot run vector policy {name!r}; "
-                        "pass its registry name or a SchedulingPolicy instead"
-                    )
-                if n_workers > 1 and isinstance(policy, str):
-                    # The worker partial binds *every* solver setting; the
-                    # discretization knobs were once dropped here, silently
-                    # running multiprocessing sweeps on the default grid.
-                    worker = functools.partial(
-                        simulate_lifetimes_chunk,
-                        params=tuple(params),
-                        policy_name=policy,
-                        backend=backend,
-                        time_step=time_step,
-                        charge_unit=charge_unit,
-                    )
-                    lifetimes = run_chunked(
-                        worker, get_scenarios().loads, n_workers=n_workers
-                    )
-                else:
-                    # Policy objects are not safely picklable (state, custom
-                    # classes), so they always run inline.
-                    lifetimes = [
-                        simulate_policy(
-                            params,
-                            load,
-                            policy,
-                            backend=backend,
-                            time_step=time_step,
-                            charge_unit=charge_unit,
-                        ).lifetime
-                        for load in get_scenarios().loads
-                    ]
-                per_sample[name] = _require_lifetimes(lifetimes, name)
+        load_config = config if config is not None else ILS_LIKE_RANDOM_CONFIG
+        axis = LoadAxis.random(n_samples, seed=seed, config=load_config)
+    spec = SweepSpec(
+        name="montecarlo",
+        batteries=(BatteryConfig(label="batteries", params=tuple(params)),),
+        loads=(axis,),
+        policies=tuple(policies),
+        backend=model,
+    )
+    if spec.has_optimal:
+        spec = spec.with_optimal(
+            max_nodes=optimal_max_nodes, dominance_tolerance=dominance_tolerance
+        )
 
-        if optimal_requested:
-            if n_workers > 1:
-                worker = functools.partial(
-                    optimal_lifetimes_chunk,
-                    params=tuple(params),
-                    backend=backend,
-                    max_nodes=optimal_max_nodes,
-                    dominance_tolerance=dominance_tolerance,
-                    time_step=time_step,
-                    charge_unit=charge_unit,
-                )
-                optima = run_chunked(
-                    worker, get_scenarios().loads, n_workers=n_workers
-                )
-            elif executed_engine == "batch":
-                # One batched branch-and-bound search per sample, through
-                # the same engine kernels as the policy sweep.
-                optima = [
-                    result.lifetime
-                    for result in optimal_schedules_batch(
-                        get_scenarios().loads,
-                        params,
-                        model=backend,
-                        max_nodes=optimal_max_nodes,
-                        dominance_tolerance=dominance_tolerance,
-                        time_step=time_step,
-                        charge_unit=charge_unit,
-                    )
-                ]
-            else:
-                optima = [
-                    find_optimal_schedule(
-                        params,
-                        load,
-                        backend=backend,
-                        time_step=time_step,
-                        charge_unit=charge_unit,
-                        dominance_tolerance=dominance_tolerance,
-                        max_nodes=optimal_max_nodes,
-                    ).lifetime
-                    for load in get_scenarios().loads
-                ]
-            per_sample[OPTIMAL_POLICY] = _require_lifetimes(optima, OPTIMAL_POLICY)
-
-    # Column order follows the request order (optimal included wherever the
-    # caller listed it; legacy include_optimal appends it last).
-    per_sample = {name: per_sample[name] for name in names}
-    distributions = {
-        policy: LifetimeDistribution.from_samples(policy, lifetimes)
-        for policy, lifetimes in per_sample.items()
+    if model in VECTOR_MODELS and engine != "scalar":
+        store = ResultStore(cache_dir) if cache_dir is not None else None
+        raw = SweepRunner(store).run(spec).per_sample
+        executed = "batch"
+    else:
+        raw = _scalar_lifetimes(spec)
+        executed = "scalar"
+    per_sample = {
+        policy: _require_lifetimes(raw[policy], policy) for policy in spec.policies
     }
     return MonteCarloResult(
-        distributions=distributions,
+        distributions={
+            policy: LifetimeDistribution.from_samples(policy, lifetimes)
+            for policy, lifetimes in per_sample.items()
+        },
         per_sample=per_sample,
-        n_samples=n_samples,
-        engine=executed_engine,
-    )
-
-
-def lifetime_distribution(
-    params: Sequence[BatteryParameters],
-    n_samples: int = 50,
-    policies: Sequence[str] = ("sequential", "round-robin", "best-of-two"),
-    include_optimal: bool = False,
-    config: Optional[RandomLoadConfig] = None,
-    seed: int = 0,
-    backend: str = "analytical",
-    optimal_max_nodes: Optional[int] = 20_000,
-) -> MonteCarloResult:
-    """Backward-compatible wrapper around :func:`run_montecarlo`.
-
-    Kept for the original call sites (tests, benchmarks, examples); new code
-    should call :func:`run_montecarlo`, which also exposes the engine
-    selection, an explicit ``rng`` and multiprocessing workers.
-    """
-    return run_montecarlo(
-        params,
-        n_samples=n_samples,
-        policies=policies,
-        include_optimal=include_optimal,
-        config=config,
-        seed=seed,
-        engine="auto",
-        backend=backend,
-        optimal_max_nodes=optimal_max_nodes,
+        n_samples=spec.n_scenarios,
+        engine=executed,
     )
 
 

@@ -19,9 +19,8 @@ thousands of scenarios per NumPy call:
   best-first branch-and-bound whose frontier bounds and between-decision
   battery advances run as batched kernels (Section 4's optimal schedules at
   engine speed, with exact parity against the scalar search),
-* :mod:`repro.engine.parallel` -- a chunked ``multiprocessing`` executor for
-  the workloads that scale across cores instead of array lanes (scalar
-  golden-reference sweeps, scalar optimal-search verification).
+* :mod:`repro.engine.parallel` -- the scalar depth-first fallback that
+  re-drives capped batched optimal searches.
 
 The scalar simulator remains the golden reference; the test suite pins the
 two paths to within 1e-9 minutes on random loads.
@@ -48,14 +47,7 @@ from repro.engine.kernels import (
     time_to_empty_array,
     total_charge_array,
 )
-from repro.engine.parallel import (
-    ChunkedExecutor,
-    default_worker_count,
-    optimal_lifetimes_chunk,
-    optimal_schedules_chunk,
-    run_chunked,
-    simulate_lifetimes_chunk,
-)
+from repro.engine.parallel import optimal_schedules_chunk
 from repro.engine.policies import (
     BatchDecisionContext,
     VECTOR_POLICY_REGISTRY,
@@ -76,7 +68,6 @@ __all__ = [
     "BatchOptimalScheduler",
     "BatchResult",
     "BatchSimulator",
-    "ChunkedExecutor",
     "DecisionTrace",
     "DiscreteKernelParams",
     "DiscreteScenarioArrays",
@@ -93,18 +84,14 @@ __all__ = [
     "VectorSequentialPolicy",
     "VectorWorstOfTwoPolicy",
     "available_charge_array",
-    "default_worker_count",
     "discrete_segment_array",
     "empty_margin_array",
     "find_optimal_schedule_batched",
     "has_vector_policy",
     "initial_state_array",
     "make_vector_policy",
-    "optimal_lifetimes_chunk",
     "optimal_schedules_batch",
     "optimal_schedules_chunk",
-    "run_chunked",
-    "simulate_lifetimes_chunk",
     "step_constant_current_array",
     "time_to_empty_array",
     "total_charge_array",

@@ -75,20 +75,6 @@ _EMPTY_TOLERANCE = 1e-12
 VECTOR_MODELS = ("analytical", "discrete")
 
 
-def resolve_model(model: Optional[str], backend: Optional[str]) -> str:
-    """Resolve the ``model``/``backend`` alias pair to one model name.
-
-    ``model`` is the preferred spelling, ``backend`` the legacy one; passing
-    both with different values is an error, passing neither means
-    ``"analytical"``.  Shared by every entry point that accepts the pair.
-    """
-    if model is not None and backend is not None and model != backend:
-        raise ValueError(
-            f"conflicting battery models: model={model!r}, backend={backend!r}"
-        )
-    return model if model is not None else (backend or "analytical")
-
-
 @dataclasses.dataclass(frozen=True)
 class BatchResult:
     """Outcome of one policy over a batch of scenarios.
@@ -172,8 +158,6 @@ class BatchSimulator:
             ``"discrete"`` (the dKiBaM, exact integer parity with the
             scalar tick loop) both run vectorized; any other registered
             model (``"linear"``) runs through the scalar fallback.
-        backend: legacy alias of ``model`` (kept for existing call sites;
-            passing both with different values is an error).
         time_step / charge_unit: dKiBaM discretization (``"discrete"``
             model only).
     """
@@ -183,10 +167,9 @@ class BatchSimulator:
         params: Union[
             Sequence[BatteryParameters], Sequence[Sequence[BatteryParameters]]
         ],
-        backend: Optional[str] = None,
+        model: str = "analytical",
         time_step: float = 0.01,
         charge_unit: float = 0.01,
-        model: Optional[str] = None,
     ) -> None:
         params = tuple(params)
         if not params:
@@ -200,15 +183,10 @@ class BatchSimulator:
             self._kernel_params = KernelParams.from_parameter_rows(rows)
             self.params = rows
             self.param_rows = rows
-        self.backend = resolve_model(model, backend)
+        self.model = model
         self.time_step = time_step
         self.charge_unit = charge_unit
         self._discrete_kernel_params: Optional[DiscreteKernelParams] = None
-
-    @property
-    def model(self) -> str:
-        """The battery model this simulator advances (alias of ``backend``)."""
-        return self.backend
 
     @property
     def n_batteries(self) -> int:
@@ -238,9 +216,9 @@ class BatchSimulator:
             scenarios = ScenarioSet.from_loads(scenarios)
         self._check_scenario_count(scenarios)
         vector_policy = self._resolve_vector_policy(policy)
-        if vector_policy is None or self.backend not in VECTOR_MODELS:
+        if vector_policy is None or self.model not in VECTOR_MODELS:
             return self._run_fallback(scenarios, policy)
-        if self.backend == "discrete":
+        if self.model == "discrete":
             return self._run_discrete(scenarios, vector_policy)
         return self._run_vectorized(scenarios, vector_policy)
 
@@ -273,13 +251,13 @@ class BatchSimulator:
         results: Dict[str, BatchResult] = {}
 
         vector = [v for _, v in resolved if v is not None]
-        if self.backend in VECTOR_MODELS and len(vector) > 1:
+        if self.model in VECTOR_MODELS and len(vector) > 1:
             n = scenarios.n_scenarios
             stack = VectorPolicyStack(vector, n)
             # Policy p owns lanes [p*n, (p+1)*n); every lane reads its
             # scenario's row of the one shared epoch table.
             lane_scenario = np.tile(np.arange(n), len(vector))
-            if self.backend == "discrete":
+            if self.model == "discrete":
                 stacked = self._run_discrete(scenarios, stack, lane_scenario)
             else:
                 stacked = self._run_vectorized(scenarios, stack, lane_scenario)
@@ -805,7 +783,7 @@ class BatchSimulator:
             return MultiBatterySimulator(
                 make_battery_models(
                     row_params,
-                    backend=self.backend,
+                    backend=self.model,
                     time_step=self.time_step,
                     charge_unit=self.charge_unit,
                 )

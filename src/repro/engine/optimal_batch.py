@@ -93,7 +93,6 @@ from repro.core.optimal import (
 )
 from repro.core.policies import FixedAssignmentPolicy, make_policy
 from repro.core.simulator import MultiBatterySimulator
-from repro.engine.batch import resolve_model
 from repro.engine.kernels import (
     DELTA,
     GAMMA,
@@ -1822,8 +1821,7 @@ class BatchOptimalScheduler:
 def find_optimal_schedule_batched(
     params: Sequence[BatteryParameters],
     load: Load,
-    model: Optional[str] = None,
-    backend: Optional[str] = None,
+    model: str = "analytical",
     time_step: float = 0.01,
     charge_unit: float = 0.01,
     max_nodes: Optional[int] = None,
@@ -1843,12 +1841,11 @@ def find_optimal_schedule_batched(
     picks the tolerance-adaptive archive depth documented on
     :class:`BatchOptimalScheduler`.
     """
-    resolved = resolve_model(model, backend)
-    if resolved not in BATCH_OPTIMAL_MODELS:
+    if model not in BATCH_OPTIMAL_MODELS:
         scheduler = OptimalScheduler(
             make_battery_models(
                 params,
-                backend=resolved,
+                backend=model,
                 time_step=time_step,
                 charge_unit=charge_unit,
             ),
@@ -1862,7 +1859,7 @@ def find_optimal_schedule_batched(
     scheduler = BatchOptimalScheduler(
         params,
         load,
-        model=resolved,
+        model=model,
         time_step=time_step,
         charge_unit=charge_unit,
         max_nodes=max_nodes,

@@ -1,150 +1,18 @@
-"""Chunked multiprocessing executor for non-vectorizable workloads.
+"""The scalar depth-first fallback of capped batched optimal searches.
 
-The analytical and discrete battery models scale across *array lanes* (see
-:mod:`repro.engine.batch`); what remains Python-loop heavy -- chiefly the
-optimal branch-and-bound scheduler, plus scalar golden-reference
-verification sweeps -- scales across *cores* instead.  This module provides
-the small amount of plumbing those need: an order-preserving parallel map
-over chunks of work items, degrading gracefully to an in-process loop when
-only one worker is requested (or available), so callers never need two code
-paths.
-
-Worker callables must be picklable (module-level functions);
-:func:`simulate_lifetimes_chunk` and :func:`optimal_lifetimes_chunk` are
-ready-made workers for the two workloads named above.
+A capped best-first search only certifies a (sometimes shallow) lower
+bound, while the scalar depth-first search drives its incumbent much deeper
+under the same node budget.  :func:`repro.engine.optimal_batch.
+optimal_schedules_batch` therefore re-drives capped searches through
+:func:`optimal_schedules_chunk` and keeps the better whole result.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Optional, Sequence
 
-from repro.core.battery import make_battery_models
-from repro.core.simulator import MultiBatterySimulator
 from repro.kibam.parameters import BatteryParameters
 from repro.workloads.load import Load
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def default_worker_count() -> int:
-    """Number of workers to use by default: the visible CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux platforms
-        return multiprocessing.cpu_count()
-
-
-def _chunk_indices(n_items: int, chunk_size: int) -> List[Tuple[int, int]]:
-    return [(start, min(start + chunk_size, n_items)) for start in range(0, n_items, chunk_size)]
-
-
-def run_chunked(
-    worker: Callable[[Sequence[T]], Sequence[R]],
-    items: Sequence[T],
-    n_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> List[R]:
-    """Apply ``worker`` to chunks of ``items`` across processes, in order.
-
-    Args:
-        worker: picklable callable mapping a chunk (a sequence of items) to
-            a sequence of per-item results of the same length.
-        items: the work items.
-        n_workers: process count; ``None`` uses the visible CPU count and
-            ``1`` (or a single chunk) runs inline without spawning anything.
-        chunk_size: items per chunk; defaults to an even split across
-            workers.
-
-    Returns:
-        The per-item results in the original item order.
-    """
-    items = list(items)
-    if not items:
-        return []
-    workers = default_worker_count() if n_workers is None else max(1, n_workers)
-    if chunk_size is None:
-        chunk_size = max(1, (len(items) + workers - 1) // workers)
-    bounds = _chunk_indices(len(items), chunk_size)
-
-    # Chunks are sliced lazily, one per dispatch, instead of materializing
-    # every chunk list up front (which doubled the peak reference count of
-    # large load sets and held all chunks alive for the whole map).  The
-    # inline path therefore keeps at most one chunk extant; the pool path
-    # feeds ``imap`` from a generator, which preserves submission order.
-    def sliced():
-        for start, stop in bounds:
-            yield items[start:stop]
-
-    results: List[R] = []
-
-    def collect(chunk_results) -> List[R]:
-        for (start, stop), chunk_result in zip(bounds, chunk_results):
-            if len(chunk_result) != stop - start:
-                raise ValueError(
-                    f"worker returned {len(chunk_result)} results for a "
-                    f"chunk of {stop - start} items"
-                )
-            results.extend(chunk_result)
-        return results
-
-    if workers == 1 or len(bounds) == 1:
-        return collect(worker(chunk) for chunk in sliced())
-    with multiprocessing.Pool(processes=min(workers, len(bounds))) as pool:
-        return collect(pool.imap(worker, sliced()))
-
-
-class ChunkedExecutor:
-    """A reusable order-preserving chunked parallel map.
-
-    A thin object wrapper over :func:`run_chunked` that pins worker and
-    chunk-size settings once, for callers that map several workers over
-    several item batches with one configuration.
-    """
-
-    def __init__(
-        self, n_workers: Optional[int] = None, chunk_size: Optional[int] = None
-    ) -> None:
-        self.n_workers = n_workers
-        self.chunk_size = chunk_size
-
-    def map(
-        self, worker: Callable[[Sequence[T]], Sequence[R]], items: Sequence[T]
-    ) -> List[R]:
-        return run_chunked(
-            worker, items, n_workers=self.n_workers, chunk_size=self.chunk_size
-        )
-
-
-# ---------------------------------------------------------------------- #
-# ready-made picklable workers (bind the fixed arguments with
-# ``functools.partial``, which pickles fine for module-level functions)
-# ---------------------------------------------------------------------- #
-def simulate_lifetimes_chunk(
-    loads: Sequence[Load],
-    params: Sequence[BatteryParameters],
-    policy_name: str,
-    backend: str = "analytical",
-    time_step: float = 0.01,
-    charge_unit: float = 0.01,
-) -> List[Optional[float]]:
-    """Worker: scalar policy lifetimes for a chunk of loads.
-
-    Returns one lifetime per load (``None`` when the batteries survive).
-    Used for scalar golden-reference sweeps (``engine="scalar"`` with
-    ``n_workers > 1``); since the dKiBaM tick loop was vectorized, the
-    batch engine covers discrete sweeps directly.
-    """
-    from repro.core.policies import make_policy
-
-    models = make_battery_models(
-        params, backend=backend, time_step=time_step, charge_unit=charge_unit
-    )
-    simulator = MultiBatterySimulator(models)
-    policy = make_policy(policy_name)
-    return [simulator.run(load, policy).lifetime for load in loads]
 
 
 def optimal_schedules_chunk(
@@ -156,7 +24,7 @@ def optimal_schedules_chunk(
     time_step: float = 0.01,
     charge_unit: float = 0.01,
 ):
-    """Worker: full scalar optimal-search results for a chunk of loads.
+    """Full scalar optimal-search results for a chunk of loads.
 
     The scalar depth-first search doubles as the fallback for batched
     best-first searches that hit their node cap (depth-first drives its
@@ -178,35 +46,4 @@ def optimal_schedules_chunk(
             max_nodes=max_nodes,
         )
         for load in loads
-    ]
-
-
-def optimal_lifetimes_chunk(
-    loads: Sequence[Load],
-    params: Sequence[BatteryParameters],
-    backend: str = "analytical",
-    max_nodes: Optional[int] = 20_000,
-    dominance_tolerance: float = 0.005,
-    time_step: float = 0.01,
-    charge_unit: float = 0.01,
-) -> List[float]:
-    """Worker: optimal-scheduler lifetimes for a chunk of loads.
-
-    Accepts the full set of solver settings -- including the dKiBaM
-    discretization -- so multiprocessing callers can bind them into the
-    partial; a worker that silently fell back to the default 0.01 grid
-    while the inline path honored the caller's grid was a real (and
-    regression-tested) parity bug.
-    """
-    return [
-        result.lifetime
-        for result in optimal_schedules_chunk(
-            loads,
-            params,
-            backend=backend,
-            max_nodes=max_nodes,
-            dominance_tolerance=dominance_tolerance,
-            time_step=time_step,
-            charge_unit=charge_unit,
-        )
     ]

@@ -154,9 +154,8 @@ class ScenarioSet:
         """Split into consecutive chunks of at most ``chunk_size`` scenarios.
 
         A convenience for sharding one large sweep into smaller batches --
-        e.g. to bound peak memory, to feed :func:`repro.engine.parallel.
-        run_chunked` with pre-built scenario sets, or to spread a sweep
-        over several sessions.
+        e.g. to bound peak memory or to spread a sweep over several
+        sessions.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")

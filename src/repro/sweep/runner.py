@@ -546,7 +546,7 @@ class SweepRunner:
             ]
             rows = [point.battery_params for point in pass_points]
             simulator = BatchSimulator(
-                rows[0] if shared else rows, backend=spec.backend
+                rows[0] if shared else rows, model=spec.backend
             )
             simulated = simulator.run_many(
                 ScenarioSet.from_loads([point.load for point in pass_points]),

@@ -152,7 +152,7 @@ class LoadAxis:
     * ``"generator"`` -- one load built by a registered generator from
       :data:`repro.workloads.generator.LOAD_GENERATOR_REGISTRY`.
     * ``"explicit"`` -- loads embedded epoch by epoch (used when a caller
-      already holds ``Load`` objects, e.g. the Monte-Carlo cache path).
+      already holds ``Load`` objects, e.g. ``run_montecarlo(loads=...)``).
 
     Resolution returns ``(group_label, load)`` pairs; all samples of a
     random axis share one group label, so aggregation naturally summarizes

@@ -16,15 +16,12 @@ from repro.analysis.montecarlo import LifetimeDistribution, run_montecarlo
 from repro.core.simulator import simulate_policy
 from repro.engine import (
     BatchSimulator,
-    ChunkedExecutor,
     KernelParams,
     ScenarioSet,
     VectorPolicyStack,
     available_charge_array,
     initial_state_array,
     make_vector_policy,
-    run_chunked,
-    simulate_lifetimes_chunk,
     step_constant_current_array,
     time_to_empty_array,
 )
@@ -37,15 +34,6 @@ from repro.workloads.load import Load, idle_epoch, job_epoch
 SMALL = BatteryParameters(capacity=1.0, c=0.166, k_prime=0.122, name="small")
 SMALLER = BatteryParameters(capacity=0.7, c=0.166, k_prime=0.122, name="smaller")
 
-
-def _double_chunk(chunk):
-    """Module-level (picklable) identity-ish worker for executor tests."""
-    return [item * 2 for item in chunk]
-
-
-def _drop_last_of_chunk(chunk):
-    """Misbehaving worker: returns one result fewer than items."""
-    return [item for item in chunk][:-1]
 
 FAST_CONFIG = RandomLoadConfig(
     levels=(0.25, 0.5),
@@ -374,7 +362,7 @@ class TestLaneIndependence:
 class TestFallbacks:
     def test_linear_backend_falls_back_to_scalar(self):
         loads = [generate_random_load(700 + i, FAST_CONFIG) for i in range(2)]
-        batch = BatchSimulator([SMALL, SMALL], backend="linear").run(
+        batch = BatchSimulator([SMALL, SMALL], model="linear").run(
             ScenarioSet.from_loads(loads), "best-of-two"
         )
         for index, load in enumerate(loads):
@@ -407,54 +395,6 @@ class TestFallbacks:
         assert batch.lifetimes[0] == scalar.lifetime
 
 
-class TestParallelExecutor:
-    def test_inline_worker(self):
-        loads = [generate_random_load(900 + i, FAST_CONFIG) for i in range(5)]
-        import functools
-
-        worker = functools.partial(
-            simulate_lifetimes_chunk, params=(SMALL, SMALL), policy_name="sequential"
-        )
-        lifetimes = run_chunked(worker, loads, n_workers=1, chunk_size=2)
-        assert len(lifetimes) == 5
-        for load, lifetime in zip(loads, lifetimes):
-            assert lifetime == simulate_policy([SMALL, SMALL], load, "sequential").lifetime
-
-    def test_multiprocess_worker_matches_inline(self):
-        loads = [generate_random_load(950 + i, FAST_CONFIG) for i in range(4)]
-        import functools
-
-        worker = functools.partial(
-            simulate_lifetimes_chunk, params=(SMALL, SMALL), policy_name="round-robin"
-        )
-        inline = run_chunked(worker, loads, n_workers=1)
-        forked = run_chunked(worker, loads, n_workers=2, chunk_size=2)
-        assert inline == forked
-
-    def test_chunked_executor_pins_configuration(self):
-        executor = ChunkedExecutor(n_workers=1, chunk_size=3)
-        assert executor.map(lambda chunk: [x * 2 for x in chunk], range(7)) == [
-            0, 2, 4, 6, 8, 10, 12,
-        ]
-
-    @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_order_preserved_with_lazy_ragged_chunks(self, n_workers):
-        """Chunks are sliced per dispatch (no prebuilt chunk list); results
-        must still come back in item order, including a ragged final chunk
-        and more chunks than workers."""
-        items = list(range(23))
-        got = run_chunked(_double_chunk, items, n_workers=n_workers, chunk_size=4)
-        assert got == [item * 2 for item in items]
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_wrong_length_worker_output_is_rejected(self, n_workers):
-        with pytest.raises(ValueError, match="results for a chunk"):
-            run_chunked(
-                _drop_last_of_chunk, list(range(8)), n_workers=n_workers,
-                chunk_size=4,
-            )
-
-
 class TestMonteCarloEngines:
     def test_batch_matches_scalar_sample_for_sample(self):
         kwargs = dict(
@@ -481,31 +421,29 @@ class TestMonteCarloEngines:
             config=FAST_CONFIG,
             seed=1,
             engine="auto",
-            backend="linear",
+            model="linear",
         )
         assert result.engine == "scalar"
 
     def test_explicit_rng_reproducible_across_engines(self):
+        # One generator stream drawn by the caller: both engines see the
+        # same explicit loads.
+        def stream_loads():
+            return ScenarioSet.random(
+                4, FAST_CONFIG, rng=np.random.default_rng(33)
+            ).loads
+
         scalar = run_montecarlo(
-            [SMALL, SMALL],
-            n_samples=4,
-            config=FAST_CONFIG,
-            rng=np.random.default_rng(33),
-            engine="scalar",
+            [SMALL, SMALL], loads=stream_loads(), engine="scalar"
         )
-        batch = run_montecarlo(
-            [SMALL, SMALL],
-            n_samples=4,
-            config=FAST_CONFIG,
-            rng=np.random.default_rng(33),
-            engine="batch",
-        )
+        batch = run_montecarlo([SMALL, SMALL], loads=stream_loads(), engine="batch")
+        assert scalar.engine == "scalar" and batch.engine == "batch"
         for policy in scalar.per_sample:
             for a, b in zip(scalar.per_sample[policy], batch.per_sample[policy]):
                 assert b == pytest.approx(a, abs=1e-9)
 
     def test_engine_label_reports_executed_path(self):
-        # Requesting "batch" on a non-vectorizable backend still works but
+        # Requesting "batch" on a non-vectorizable model still works but
         # runs through the scalar fallback -- and the label must say so.
         result = run_montecarlo(
             [SMALL, SMALL],
@@ -513,7 +451,7 @@ class TestMonteCarloEngines:
             config=FAST_CONFIG,
             seed=6,
             engine="batch",
-            backend="linear",
+            model="linear",
         )
         assert result.engine == "scalar"
 
@@ -714,12 +652,10 @@ class TestDiscreteBatch:
         assert not np.isnan(batch.lifetimes[0])
         assert batch.lifetime_ticks[1] == -1 and batch.lifetime_ticks[2] == -1
 
-    def test_model_keyword_and_backend_alias(self):
-        sim = BatchSimulator([SMALL], model="discrete")
-        assert sim.model == sim.backend == "discrete"
-        assert BatchSimulator([SMALL], backend="discrete").model == "discrete"
-        with pytest.raises(ValueError, match="conflicting"):
-            BatchSimulator([SMALL], backend="analytical", model="discrete")
+    def test_model_keyword(self):
+        assert BatchSimulator([SMALL], model="discrete").model == "discrete"
+        assert BatchSimulator([SMALL], "discrete").model == "discrete"
+        assert BatchSimulator([SMALL]).model == "analytical"
 
     def test_unrepresentable_current_rejected(self):
         # The scalar dKiBaM rejects currents that have no exact integer
@@ -735,16 +671,12 @@ class TestDiscreteBatch:
             [SMALL, SMALL], engine="auto", model="discrete", **kwargs
         )
         scalar = run_montecarlo(
-            [SMALL, SMALL], engine="scalar", backend="discrete", **kwargs
+            [SMALL, SMALL], engine="scalar", model="discrete", **kwargs
         )
         assert batch.engine == "batch" and scalar.engine == "scalar"
         for policy in batch.per_sample:
             for a, b in zip(scalar.per_sample[policy], batch.per_sample[policy]):
                 assert b == pytest.approx(a, abs=1e-9)
-        with pytest.raises(ValueError, match="conflicting"):
-            run_montecarlo(
-                [SMALL], engine="auto", model="discrete", backend="linear", **kwargs
-            )
 
 
 class TestPerScenarioKernelParams:

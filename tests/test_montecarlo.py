@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.montecarlo import (
     LifetimeDistribution,
-    lifetime_distribution,
     render_distributions,
     run_montecarlo,
 )
@@ -40,7 +39,7 @@ class TestLifetimeDistribution:
 class TestMonteCarloSweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return lifetime_distribution(
+        return run_montecarlo(
             [SMALL, SMALL], n_samples=8, config=FAST_CONFIG, seed=11
         )
 
@@ -58,17 +57,17 @@ class TestMonteCarloSweep:
         assert gain >= -1e-9
 
     def test_reproducibility(self):
-        first = lifetime_distribution([SMALL, SMALL], n_samples=3, config=FAST_CONFIG, seed=5)
-        second = lifetime_distribution([SMALL, SMALL], n_samples=3, config=FAST_CONFIG, seed=5)
+        first = run_montecarlo([SMALL, SMALL], n_samples=3, config=FAST_CONFIG, seed=5)
+        second = run_montecarlo([SMALL, SMALL], n_samples=3, config=FAST_CONFIG, seed=5)
         assert first.per_sample == second.per_sample
 
     def test_optional_optimal_column(self):
-        result = lifetime_distribution(
+        result = run_montecarlo(
             [SMALL, SMALL],
             n_samples=2,
             config=FAST_CONFIG,
             seed=3,
-            include_optimal=True,
+            policies=("sequential", "round-robin", "best-of-two", "optimal"),
             optimal_max_nodes=500,
         )
         assert "optimal" in result.distributions
@@ -81,43 +80,13 @@ class TestMonteCarloSweep:
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            lifetime_distribution([SMALL], n_samples=0)
+            run_montecarlo([SMALL], n_samples=0)
 
+    def test_rejects_policy_objects(self):
+        from repro.core.policies import make_policy
 
-class TestWorkerParameterThreading:
-    """Regression: the multiprocessing worker partials dropped the solver
-    settings -- ``n_workers > 1`` silently simulated the hard-coded 0.01
-    dKiBaM grid and 0.005 dominance tolerance whatever the caller asked
-    for.  Every setting must now thread through both the policy worker and
-    the optimal worker, so a parallel run reproduces the inline scalar path
-    exactly at a non-default grid."""
-
-    KWARGS = dict(
-        n_samples=2,
-        policies=("sequential", "optimal"),
-        config=FAST_CONFIG,
-        seed=2,
-        engine="scalar",
-        model="discrete",
-        time_step=0.05,
-        charge_unit=0.05,
-        dominance_tolerance=0.0,
-        optimal_max_nodes=4000,
-    )
-
-    def test_parallel_workers_honor_solver_settings(self):
-        inline = run_montecarlo([SMALL, SMALL], n_workers=1, **self.KWARGS)
-        parallel = run_montecarlo([SMALL, SMALL], n_workers=2, **self.KWARGS)
-        assert parallel.per_sample == inline.per_sample
-
-    def test_non_default_grid_changes_the_numbers(self):
-        """Sanity guard for the regression test above: at the reference
-        grid the lifetimes differ from the 0.05 grid, so a worker that
-        fell back to the defaults could not pass the parity assertion."""
-        coarse = run_montecarlo([SMALL, SMALL], n_workers=1, **self.KWARGS)
-        reference = run_montecarlo(
-            [SMALL, SMALL],
-            n_workers=1,
-            **{**self.KWARGS, "time_step": 0.01, "charge_unit": 0.01},
-        )
-        assert coarse.per_sample != reference.per_sample
+        with pytest.raises(ValueError, match="BatchSimulator.run_many"):
+            run_montecarlo(
+                [SMALL, SMALL], n_samples=2, config=FAST_CONFIG,
+                policies=("sequential", make_policy("best-of-two")),
+            )
