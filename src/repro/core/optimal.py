@@ -37,7 +37,12 @@ from repro.core.policies import FixedAssignmentPolicy, make_policy
 from repro.core.schedule import Schedule, SimulationResult
 from repro.core.simulator import MultiBatterySimulator
 from repro.kibam.analytical import KibamState, step_constant_current
-from repro.kibam.bounds import build_pooled_job_table, recovery_limited_refinements
+from repro.kibam.bounds import (
+    DrawBudgetBound,
+    build_pooled_job_table,
+    recovery_limited_refinements,
+)
+from repro.kibam.discrete import discharge_spec_for, duration_ticks
 from repro.kibam.lifetime import time_to_empty
 from repro.kibam.parameters import BatteryParameters
 from repro.workloads.load import Load
@@ -305,32 +310,61 @@ class DominanceArchive:
         return True
 
 
-def discrete_bound_slack_for(time_step: float, charge_unit: float) -> float:
-    """Relative safety margin of the pooling bound for a dKiBaM search.
+def discrete_pooling_margin(time_step: float, charge_unit: float) -> Optional[float]:
+    """Margin on the pooling bound for a dKiBaM search, or ``None``.
 
-    The dKiBaM reports lifetimes slightly above the analytical model (up to
-    ~1 % at the paper's reference discretization of ``T = Gamma = 0.01``,
-    Tables 3 and 4), so the analytical perfect-pooling bound is inflated
-    before pruning discrete-backend searches.  The discretization error --
-    and with it the inflation needed to keep the pruning sound -- grows
-    with the tick length and the charge unit, so the margin scales with the
-    coarseness relative to the reference discretization; at the reference
-    itself this is the long-standing 2 %.  Both the scalar and the batched
-    search use this same margin, which is what keeps their results in
-    lockstep on coarse discretizations.
+    On the paper's grid (``T = Gamma = 0.01``) and finer, the dKiBaM stays
+    within about 1 % of the analytical model (Tables 3 and 4), and both
+    searches prune with the analytical perfect-pooling bound inflated by
+    2 %.  That margin is measured, not proven.  On coarser grids the dKiBaM
+    outlives the pooling bound by far more than any fixed margin (at ``T =
+    Gamma = 0.1`` the exact optimum needed relative margins up to 7.9), so
+    ``None`` sends both searches to the proven :class:`repro.kibam.bounds.
+    DrawBudgetBound` instead (see :func:`discrete_draw_budget`).
     """
-    coarseness = max(1.0, time_step / 0.01, charge_unit / 0.01)
-    return 0.02 * coarseness
+    if time_step <= 0.01 and charge_unit <= 0.01:
+        return 0.02
+    return None
 
 
 def discrete_bound_slack(model: BatteryModel) -> float:
-    """The pooling-bound safety margin for one battery model (0 unless dKiBaM)."""
+    """The pooling-bound margin for one battery model (0 unless dKiBaM)."""
     if model.backend != "discrete":
         return 0.0
-    kibam = getattr(model, "kibam", None)
-    if kibam is None:
-        return 0.02
-    return discrete_bound_slack_for(kibam.time_step, kibam.charge_unit)
+    margin = discrete_pooling_margin(model.kibam.time_step, model.kibam.charge_unit)
+    return 0.0 if margin is None else margin
+
+
+def discrete_draw_budget(
+    models: Sequence[BatteryModel], load: Load
+) -> Optional[DrawBudgetBound]:
+    """The draw-budget bound of a dKiBaM search on a coarse grid, else ``None``.
+
+    Applies when every model is a :class:`repro.core.battery.DiscreteBattery`
+    on one ``(time_step, charge_unit)`` grid that
+    :func:`discrete_pooling_margin` gives no pooling margin for: the bound
+    counts charge units and ticks, so the batteries must share both.
+    """
+    grids = {
+        (model.kibam.time_step, model.kibam.charge_unit)
+        if model.backend == "discrete"
+        else None
+        for model in models
+    }
+    if len(grids) != 1 or None in grids:
+        return None
+    ((time_step, charge_unit),) = grids
+    if discrete_pooling_margin(time_step, charge_unit) is not None:
+        return None
+    specs = [
+        discharge_spec_for(epoch.current, time_step, charge_unit)
+        for epoch in load.epochs
+    ]
+    return DrawBudgetBound(
+        [spec.cur for spec in specs],
+        [spec.cur_times for spec in specs],
+        [duration_ticks(epoch.duration, time_step) for epoch in load.epochs],
+    )
 
 
 class _SearchNode:
@@ -414,6 +448,7 @@ class OptimalScheduler:
         )
         self._pooled_params = self._pooling_parameters()
         self._bound_slack = discrete_bound_slack(self.models[0])
+        self._draw_budget = discrete_draw_budget(self.models, load)
         # Search state.
         self._best_lifetime = float("-inf")
         self._best_assignment: Tuple[int, ...] = ()
@@ -635,13 +670,19 @@ class OptimalScheduler:
     ) -> float:
         """Admissible upper bound on the remaining system lifetime.
 
-        With KiBaM-shaped batteries sharing ``c``/``k'`` this is the
-        perfect-pooling bound refined by the recovery-limited bound of
-        :mod:`repro.kibam.bounds` (never looser, often tighter near the
-        endgame); otherwise the total-charge fallback.  A pooled bound at
-        or below ``cutoff`` is returned unrefined: the refinement never
-        exceeds it, so the node is pruned either way.
+        On dKiBaM grids coarser than the paper's this is the draw-budget
+        bound of :class:`repro.kibam.bounds.DrawBudgetBound`.  Otherwise,
+        with KiBaM-shaped batteries sharing ``c``/``k'``, it is the
+        perfect-pooling bound (with the dKiBaM's
+        :func:`discrete_pooling_margin`), refined on the analytical model by
+        the recovery-limited bound of :mod:`repro.kibam.bounds` (never
+        looser, often tighter near the endgame); otherwise the total-charge
+        fallback.  A pooled bound at or below ``cutoff`` is
+        returned unrefined: the refinement never exceeds it, so the node is
+        pruned either way.
         """
+        if self._draw_budget is not None:
+            return self._draw_budget_bound(states, epoch_index, offset)
         if self._pooled_params is not None:
             bound = self._pooled_bound(states, epoch_index, offset)
             if bound <= cutoff:
@@ -651,6 +692,25 @@ class OptimalScheduler:
                 return refined
             return bound
         return self._total_charge_bound(states, epoch_index, offset)
+
+    def _draw_budget_bound(
+        self, states: Sequence[Any], epoch_index: int, offset: float
+    ) -> float:
+        """Draw-budget bound in minutes (dKiBaM searches only)."""
+        assert self._draw_budget is not None
+        alive = [
+            state
+            for model, state in zip(self.models, states)
+            if not model.is_empty(state)
+        ]
+        time_step = self.models[0].kibam.time_step
+        ticks = self._draw_budget.ticks(
+            [sum(state.n for state in alive)],
+            [len(alive)],
+            [epoch_index],
+            [round(offset / time_step)],
+        )
+        return int(ticks[0]) * time_step
 
     def _pooled_bound(self, states: Sequence[Any], epoch_index: int, offset: float) -> float:
         """Perfect-pooling bound: lifetime of one battery holding all alive charge.
@@ -712,8 +772,9 @@ class OptimalScheduler:
         is a theorem of the continuous dynamics, and the dKiBaM grid can
         keep a marginal burst alive that the continuous threshold rules out
         (tick rounding works in the battery's favor), which no
-        multiplicative slack can repair.  Discrete searches keep the
-        slack-inflated pooling bound.
+        multiplicative margin can repair.  Discrete searches keep the
+        pooling bound with :func:`discrete_pooling_margin`, or the
+        draw-budget bound on coarse grids.
         """
         params = self._pooled_params
         if params is None or self.models[0].backend != "analytical":

@@ -34,7 +34,9 @@ Around them:
   :mod:`repro.kibam.bounds` for the analytical model, or the total-charge
   fallback for batteries that do not share ``c``/``k'``) is evaluated for
   a whole frontier batch in one vectorized epoch walk and memoized on the
-  scalar search's quantized keys (:class:`_BoundEvaluator`);
+  scalar search's quantized keys (:class:`_BoundEvaluator`); dKiBaM
+  searches on grids coarser than the paper's use the draw-budget bound
+  (:class:`repro.kibam.bounds.DrawBudgetBound`) instead;
 * the greedy probe runs periodically on popped batches; an improving
   lower bound raises the incumbent (it is an achievable schedule) and
   retroactively evicts every live frontier slot whose upper bound it
@@ -87,7 +89,7 @@ from repro.core.optimal import (
     _BOUND_CACHE_LIMIT,
     OptimalScheduleResult,
     OptimalScheduler,
-    discrete_bound_slack_for,
+    discrete_pooling_margin,
     group_permutations,
     parameter_symmetry_groups,
 )
@@ -105,6 +107,7 @@ from repro.engine.kernels import (
     total_charge_array,
 )
 from repro.kibam.bounds import (
+    DrawBudgetBound,
     build_pooled_job_table,
     recovery_limited_refinements,
     segments_may_cross,
@@ -1061,12 +1064,11 @@ class _DiscreteModel(_BatteryModel):
         time_step: float,
         charge_unit: float,
     ) -> None:
-        # The analytical pooling bound gets the scalar search's
-        # discretization-aware safety margin when pruning dKiBaM searches.
+        # The scalar search's bound: the analytical pooling bound with its
+        # margin on fine grids, the draw budget on coarse ones.
+        margin = discrete_pooling_margin(time_step, charge_unit)
         super().__init__(
-            params,
-            load,
-            bound_slack=discrete_bound_slack_for(time_step, charge_unit),
+            params, load, bound_slack=0.0 if margin is None else margin
         )
         self.time_unit = time_step
         self.charge_unit = charge_unit
@@ -1089,6 +1091,11 @@ class _DiscreteModel(_BatteryModel):
             dtype=np.int64,
         )
         self.is_job = self.cur > 0
+        self.draw_budget = (
+            DrawBudgetBound(self.cur, self.cur_times, self.epoch_length)
+            if margin is None
+            else None
+        )
 
     def root_state(self) -> np.ndarray:
         state = np.zeros((1,) + self.state_shape, dtype=np.int64)
@@ -1153,7 +1160,8 @@ class _DiscreteModel(_BatteryModel):
         return out
 
     def remaining_bounds(self, state, alive, epoch, offset, elapsed, cutoff):
-        """Slack-inflated pooling (or total-charge) bound in minutes per node.
+        """The draw-budget bound, or the margin-inflated pooling (or
+        total-charge) bound, in minutes per node.
 
         No recovery-limited refinement here: the chain-feasibility argument
         holds for the continuous dynamics only, and dKiBaM tick rounding can
@@ -1161,6 +1169,14 @@ class _DiscreteModel(_BatteryModel):
         (see ``OptimalScheduler._recovery_limited_bound``).  So there is no
         refinement for ``elapsed`` / ``cutoff`` to skip.
         """
+        if self.draw_budget is not None:
+            ticks = self.draw_budget.ticks(
+                np.where(alive, state[:, :, _N], 0).sum(axis=1),
+                alive.sum(axis=1),
+                epoch,
+                np.rint(offset / self.time_unit).astype(np.int64),
+            )
+            return ticks * self.time_unit
         gamma = np.where(alive, state[:, :, _N] * self.charge_unit, 0.0).sum(axis=1)
         if self.bounds.pooled is None:
             return self.bounds.total_charge_bounds(gamma, epoch, offset)

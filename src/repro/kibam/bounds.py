@@ -69,10 +69,13 @@ batteries are alive -- and the nightly fleet property suite asserts the
 root hierarchy ``total-charge >= pooling >= recovery-limited >= certified
 optimum`` on random 2-6 battery heterogeneous fleets.
 
-Everything here is expressed in the transformed analytical coordinates;
-discrete searches inflate the result by their documented
-``discrete_bound_slack_for`` margin exactly as they inflate the pooled
-bound.
+Everything here is expressed in the transformed analytical coordinates
+and bounds the analytical model only.  dKiBaM searches on the paper's grid
+inflate the pooled bound by a measured margin
+(:func:`repro.core.optimal.discrete_pooling_margin`); on coarser grids,
+where tick rounding lets the dKiBaM outlive the analytical pooled battery
+by far more than any fixed relative margin, they prune with
+:class:`DrawBudgetBound`, which is proven from the tick semantics.
 
 **What the layer skips, exactly.**  Fleet searches evaluate these bounds
 for thousands of nodes per round, so the layer avoids work it can prove
@@ -110,6 +113,7 @@ from scipy import special
 from repro.kibam.parameters import BatteryParameters
 
 __all__ = [
+    "DrawBudgetBound",
     "PooledJobTable",
     "burst_survival_coefficients",
     "build_pooled_job_table",
@@ -505,3 +509,95 @@ def recovery_limited_refinements(
             cache[key] = tail
     out[rows] = [tails[key] for key in keys]
     return out
+
+
+class DrawBudgetBound:
+    """Admissible remaining-lifetime bound of a dKiBaM system, in ticks.
+
+    The analytical bounds above do not carry over to the dKiBaM: tick
+    rounding lets a discrete battery outlive the continuous model by far
+    more than any fixed relative margin on coarse grids.  This bound is
+    proven from the tick semantics of :class:`repro.kibam.discrete.
+    DiscreteKibam` instead.
+
+    Cut the ticks from a search node to the system's death into *stretches*:
+    one battery serving inside one epoch, ended by an epoch boundary or by
+    that battery emptying.  A battery's accumulator starts a stretch at zero
+    or above and gains ``cur`` per tick, so a stretch of ``l`` ticks at rate
+    ``r = cur / cur_times`` draws at least ``floor(l r)`` units -- unless the
+    battery empties on its last tick, which stops the draws of that tick
+    after the first, costing at most ``ceil(r) - 1`` units.  Splitting an
+    epoch between two batteries loses at most one more unit to the floors.
+    Each battery empties at most once and can draw at most its ``n`` units
+    (equation (8) holds at ``n = 0``), so through a lifetime of ``L`` ticks
+
+    .. math::
+
+        \\sum_{j} \\lfloor l_j r_j \\rfloor \\le
+        \\sum_{\\text{alive}} n_i + B\\,q, \\qquad
+        q = \\max(1, \\max_j \\lceil r_j \\rceil),
+
+    with ``l_j`` the ticks of epoch ``j`` inside the lifetime and ``B`` the
+    alive count.  The largest ``L`` satisfying it is the bound.  It uses
+    only the unit counters, never the threshold or the recovery, so it is
+    loose, but it holds on every grid; :meth:`ticks` answers it for many
+    nodes with one ``searchsorted`` over prefix sums of per-epoch draws.
+
+    Args:
+        cur: per-epoch draw numerators (0 for idle epochs).
+        cur_times: per-epoch draw denominators (1 for idle epochs).
+        epoch_ticks: per-epoch lengths in ticks.
+    """
+
+    def __init__(self, cur, cur_times, epoch_ticks) -> None:
+        self.cur = np.asarray(cur, dtype=np.int64)
+        self.cur_times = np.asarray(cur_times, dtype=np.int64)
+        self.epoch_ticks = np.asarray(epoch_ticks, dtype=np.int64)
+        full_draws = self.epoch_ticks * self.cur // self.cur_times
+        self.prefix_draws = np.concatenate(([0], np.cumsum(full_draws)))
+        self.prefix_ticks = np.concatenate(([0], np.cumsum(self.epoch_ticks)))
+        per_tick = -(-self.cur // self.cur_times)
+        self.allowance = int(max(1, per_tick.max(initial=0)))
+
+    def ticks(self, units, alive_count, epoch, offset) -> np.ndarray:
+        """Bound in ticks from nodes at ``(epoch, offset)`` (offset in ticks).
+
+        ``units`` is each node's total of charge units held by alive
+        batteries and ``alive_count`` their number; all arguments are
+        integer arrays of one shape.
+        """
+        epoch = np.asarray(epoch, dtype=np.int64)
+        offset = np.asarray(offset, dtype=np.int64)
+        budget = np.asarray(units, dtype=np.int64) + self.allowance * np.asarray(
+            alive_count, dtype=np.int64
+        )
+        n_epochs = self.epoch_ticks.shape[0]
+        out = np.empty(epoch.shape, dtype=np.int64)
+        ended = epoch >= n_epochs
+        out[ended] = 0
+        live = np.flatnonzero(~ended)
+        if live.size == 0:
+            return out
+        e = epoch[live]
+        first = self.epoch_ticks[e] - offset[live]
+        first_draws = first * self.cur[e] // self.cur_times[e]
+        budget = budget[live]
+        # Epoch the budget runs out in: the first whose whole draws exceed
+        # what is left after the node's (partial) epoch.
+        target = budget - first_draws + self.prefix_draws[e + 1]
+        stop = np.searchsorted(self.prefix_draws, target, side="right") - 1
+        stop = np.where(first_draws > budget, e, np.maximum(stop, e + 1))
+        left = np.where(
+            first_draws > budget, budget, target - self.prefix_draws[stop]
+        )
+        before = np.where(
+            stop == e, 0, first + self.prefix_ticks[stop] - self.prefix_ticks[e + 1]
+        )
+        survives = stop >= n_epochs
+        last = np.minimum(stop, n_epochs - 1)
+        # Largest t with floor(t * cur / cur_times) <= left.
+        inside = ((left + 1) * self.cur_times[last] - 1) // np.maximum(
+            self.cur[last], 1
+        )
+        out[live] = np.where(survives, before, before + inside)
+        return out

@@ -59,7 +59,10 @@ DEFAULT_OPTIMAL_TOLERANCE = 0.005
 #: an unchanged spec, so stores never serve numbers of the old search.
 #: Revision 2: the greedy lower-bound probe stops at system death (before,
 #: a dKiBaM probe could overestimate and prune the optimum).
-OPTIMAL_SEARCH_REVISION = 2
+#: Revision 3: dKiBaM searches on grids coarser than the paper's prune with
+#: the draw-budget bound (before, a margin-inflated analytical pooling bound
+#: that could prune the optimum).
+OPTIMAL_SEARCH_REVISION = 3
 
 
 # --------------------------------------------------------------------- #

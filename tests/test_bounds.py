@@ -10,6 +10,10 @@
   replaced to 1e-12, for one row and for 64 rows, and every time it returns
   short of the pooled crossing has a positive margin, so the bound stays
   admissible.
+* **Draw budget.**  ``DrawBudgetBound`` answers its inequality exactly (a
+  tick-by-tick walk agrees on random loads) and covers the exact dKiBaM
+  optimum on the coarse-grid loads where the slack-inflated pooling bound
+  it replaced fell short of it.
 """
 
 import dataclasses
@@ -341,3 +345,194 @@ class TestOnePassTailSolve:
         assert capped.tobytes() == unbounded.tobytes()
         assert 0 < len(table.tail_cache) <= 2
         assert np.any(unbounded < table.crossing)
+
+
+#: Coarse-grid dKiBaM instances on which the slack-inflated analytical
+#: pooling bound fell below the exact optimum: (capacity, epochs, repeats).
+POOLING_COUNTEREXAMPLES = {
+    "cap1.375-job-last": (1.375, [(0.0, 0.5), (0.0, 0.5), (0.5, 1.0)], 20),
+    "cap0.75-one-job": (0.75, [(0.0, 0.5)] * 3 + [(0.25, 0.5)] + [(0.0, 0.5)] * 2, 10),
+    "cap0.75-long-idle": (0.75, [(0.25, 0.5), (0.0, 2.0)], 10),
+}
+COARSE = dict(time_step=0.1, charge_unit=0.1)
+
+
+def _coarse_case(name):
+    from repro.workloads.load import Epoch, Load
+
+    capacity, epochs, repeats = POOLING_COUNTEREXAMPLES[name]
+    load = Load(
+        name=name,
+        epochs=tuple(Epoch(current=c, duration=d) for c, d in epochs),
+    ).repeated(repeats)
+    pair = [BatteryParameters(capacity=capacity, c=0.166, k_prime=0.122)] * 2
+    return pair, load
+
+
+def _scalar_root_bound(pair, load, grid):
+    from repro.core.battery import make_battery_models
+    from repro.core.optimal import OptimalScheduler
+
+    scheduler = OptimalScheduler(
+        make_battery_models(pair, backend="discrete", **grid), load
+    )
+    states = tuple(model.initial_state() for model in scheduler.models)
+    return scheduler._remaining_lifetime_bound(states, 0, 0.0)
+
+
+def _exact_optimum(pair, load, grid):
+    """Tolerance-0 scalar search with bound pruning switched off."""
+    from repro.core.optimal import OptimalScheduler, find_optimal_schedule
+
+    original = OptimalScheduler._remaining_lifetime_bound
+    OptimalScheduler._remaining_lifetime_bound = lambda self, *a, **k: math.inf
+    try:
+        return find_optimal_schedule(pair, load, backend="discrete", **grid)
+    finally:
+        OptimalScheduler._remaining_lifetime_bound = original
+
+
+class TestDrawBudgetBound:
+    @staticmethod
+    def _walk(bound, units, alive, epoch, offset):
+        """Tick-by-tick reference: the last tick the inequality allows."""
+        budget = units + bound.allowance * alive
+        used = 0
+        elapsed = 0
+        for e in range(epoch, bound.epoch_ticks.shape[0]):
+            length = int(bound.epoch_ticks[e]) - (offset if e == epoch else 0)
+            cur, cur_times = int(bound.cur[e]), int(bound.cur_times[e])
+            for tick in range(1, length + 1):
+                if used + tick * cur // cur_times > budget:
+                    return elapsed + tick - 1
+            used += length * cur // cur_times
+            elapsed += length
+        return elapsed
+
+    def test_matches_a_tick_by_tick_walk(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n_epochs = int(rng.integers(1, 12))
+            cur = rng.integers(0, 4, n_epochs)
+            cur_times = np.where(cur > 0, rng.integers(1, 6, n_epochs), 1)
+            ticks = rng.integers(1, 15, n_epochs)
+            bound = bounds.DrawBudgetBound(cur, cur_times, ticks)
+            rows = 16
+            epoch = rng.integers(0, n_epochs + 1, rows)
+            offset = np.array(
+                [
+                    int(rng.integers(0, ticks[e])) if e < n_epochs else 0
+                    for e in epoch
+                ]
+            )
+            units = rng.integers(0, 40, rows)
+            alive = rng.integers(1, 4, rows)
+            got = bound.ticks(units, alive, epoch, offset)
+            expected = [
+                self._walk(bound, int(u), int(a), int(e), int(o))
+                for u, a, e, o in zip(units, alive, epoch, offset)
+            ]
+            assert got.tolist() == expected
+
+    def test_small_budgets_by_hand(self):
+        bound = bounds.DrawBudgetBound([1, 0, 1], [2, 1, 4], [10, 5, 8])
+        # 5 + 0 + 2 whole draws fit a budget of 6 units + 1 allowance.
+        assert bound.ticks([6], [1], [0], [0]).tolist() == [23]
+        assert bound.ticks([0], [1], [1], [2]).tolist() == [3 + 7]
+        assert bound.ticks([5], [2], [3], [0]).tolist() == [0]
+
+    def test_allowance_is_the_most_draws_in_one_tick(self):
+        assert bounds.DrawBudgetBound([3, 1], [2, 4], [5, 5]).allowance == 2
+        assert bounds.DrawBudgetBound([1], [4], [5]).allowance == 1
+        assert bounds.DrawBudgetBound([0], [1], [5]).allowance == 1
+
+    def test_covers_single_battery_lifetimes_at_several_draws_per_tick(self):
+        from repro.core.battery import make_battery_models
+        from repro.core.optimal import OptimalScheduler
+        from repro.core.simulator import simulate_policy
+        from repro.workloads.load import Epoch, Load
+
+        load = Load(
+            name="heavy",
+            epochs=(Epoch(current=1.5, duration=0.3), Epoch(current=0.0, duration=0.2)),
+        ).repeated(30)
+        for capacity in (0.5, 0.8, 1.3):
+            params = [BatteryParameters(capacity=capacity, c=0.166, k_prime=0.122)]
+            models = make_battery_models(params, backend="discrete", **COARSE)
+            scheduler = OptimalScheduler(models, load)
+            assert scheduler._draw_budget.allowance == 2
+            lifetime = simulate_policy(
+                params, load, "sequential", backend="discrete", **COARSE
+            ).lifetime
+            assert lifetime is not None
+            assert _scalar_root_bound(params, load, COARSE) >= lifetime - 1e-9
+
+    def test_applies_only_to_one_coarse_dkibam_grid(self):
+        from repro.core.battery import AnalyticalBattery, DiscreteBattery
+        from repro.core.optimal import discrete_draw_budget
+        from repro.workloads.load import Epoch, Load
+
+        load = Load(name="one", epochs=(Epoch(current=0.5, duration=1.0),))
+        fine = DiscreteBattery(B1)
+        coarse = DiscreteBattery(B1, time_step=0.1, charge_unit=0.1)
+        half = DiscreteBattery(B1, time_step=0.05, charge_unit=0.05)
+        assert discrete_draw_budget([coarse, coarse], load) is not None
+        assert discrete_draw_budget([fine, fine], load) is None
+        assert discrete_draw_budget([half, coarse], load) is None
+        assert discrete_draw_budget([coarse, AnalyticalBattery(B1)], load) is None
+        assert discrete_draw_budget([AnalyticalBattery(B1)], load) is None
+
+    def test_pooling_margin_only_on_the_paper_grid_and_finer(self):
+        from repro.core.optimal import discrete_pooling_margin
+
+        assert discrete_pooling_margin(0.01, 0.01) == 0.02
+        assert discrete_pooling_margin(0.005, 0.01) == 0.02
+        assert discrete_pooling_margin(0.05, 0.05) is None
+        assert discrete_pooling_margin(0.01, 0.02) is None
+
+    @pytest.mark.parametrize("name", sorted(POOLING_COUNTEREXAMPLES))
+    def test_root_bound_covers_the_exact_optimum(self, name):
+        pair, load = _coarse_case(name)
+        exact = _exact_optimum(pair, load, COARSE)
+        assert exact.complete
+        assert _scalar_root_bound(pair, load, COARSE) >= exact.lifetime - 1e-9
+
+    @pytest.mark.parametrize("name", sorted(POOLING_COUNTEREXAMPLES))
+    def test_certified_searches_find_the_exact_optimum(self, name):
+        from repro.core.optimal import find_optimal_schedule
+        from repro.engine.optimal_batch import find_optimal_schedule_batched
+
+        pair, load = _coarse_case(name)
+        exact = _exact_optimum(pair, load, COARSE)
+        scalar = find_optimal_schedule(pair, load, backend="discrete", **COARSE)
+        batched = find_optimal_schedule_batched(
+            pair, load, model="discrete", **COARSE
+        )
+        ticks = round(exact.lifetime / COARSE["time_step"])
+        assert scalar.complete and batched.complete
+        assert round(scalar.lifetime / COARSE["time_step"]) == ticks
+        assert round(batched.lifetime / COARSE["time_step"]) == ticks
+
+    def test_root_bound_on_a_constant_load_by_hand(self):
+        # CL 250 on 2 x B1 at T = Gamma = 0.1: 2 x 55 units plus one unit
+        # of allowance per battery.  At 250 mA a unit takes 4 ticks, so a
+        # 10-tick epoch (one a battery may serve from a fresh accumulator)
+        # surely draws 2 units: the budget of 112 lasts 56 epochs, and 3
+        # more ticks before a 57th unit would be due.
+        load = paper_loads()["CL 250"]
+        assert _scalar_root_bound([B1, B1], load, COARSE) == pytest.approx(56.3)
+
+    @pytest.mark.parametrize("name", ["CL 250", "ILs alt"])
+    def test_batched_root_bound_matches_the_scalar_bound(self, name):
+        from repro.engine.optimal_batch import BatchOptimalScheduler
+
+        pair = [B1, B1]
+        load = paper_loads()[name]
+        ops = BatchOptimalScheduler(pair, load, model="discrete", **COARSE)._ops
+        root = ops.root_batch()
+        alive = ops.model.alive(root["state"], root["empty"])
+        batched = ops.model.remaining_bounds(
+            root["state"], alive, root["epoch"], root["offset"] * 0.1,
+            np.zeros(1), 0.0,
+        )[0]
+        assert batched == pytest.approx(_scalar_root_bound(pair, load, COARSE))

@@ -90,3 +90,70 @@ class TestMonteCarloSweep:
                 [SMALL, SMALL], n_samples=2, config=FAST_CONFIG,
                 policies=("sequential", make_policy("best-of-two")),
             )
+
+
+class TestOnePath:
+    """``run_montecarlo`` is a ``SweepSpec`` run through ``SweepRunner``."""
+
+    @staticmethod
+    def _spec(model, loads_axis, policies=("sequential", "best-of-two")):
+        from repro.sweep import BatteryConfig, SweepSpec
+
+        return SweepSpec(
+            name="montecarlo",
+            batteries=(BatteryConfig(label="batteries", params=(SMALL, SMALL)),),
+            loads=(loads_axis,),
+            policies=policies,
+            backend=model,
+        )
+
+    @pytest.mark.parametrize("model", ["analytical", "discrete"])
+    def test_equals_a_direct_sweep_run(self, model):
+        from repro.sweep import LoadAxis, SweepRunner
+
+        result = run_montecarlo(
+            [SMALL, SMALL], n_samples=6, config=FAST_CONFIG, seed=40,
+            policies=("sequential", "best-of-two"), model=model,
+        )
+        spec = self._spec(model, LoadAxis.random(6, seed=40, config=FAST_CONFIG))
+        direct = SweepRunner(None).run(spec).per_sample
+        assert result.engine == "batch"
+        for policy, lifetimes in result.per_sample.items():
+            assert lifetimes == [float(value) for value in direct[policy]]
+
+    def test_explicit_loads_equal_a_direct_sweep_run(self):
+        from repro.engine.scenarios import ScenarioSet
+        from repro.sweep import LoadAxis, SweepRunner
+
+        loads = ScenarioSet.random(5, FAST_CONFIG, seed=9).loads
+        result = run_montecarlo(
+            [SMALL, SMALL], loads=loads, policies=("sequential", "best-of-two")
+        )
+        spec = self._spec(
+            "analytical", LoadAxis.explicit(list(loads), label="montecarlo")
+        )
+        direct = SweepRunner(None).run(spec).per_sample
+        for policy, lifetimes in result.per_sample.items():
+            assert lifetimes == [float(value) for value in direct[policy]]
+
+    def test_resume_after_a_lost_chunk_is_bitwise_equal(self, tmp_path):
+        from repro.sweep import ResultStore
+
+        cache = str(tmp_path / "mc")
+        # Two store chunks (256 scenarios each), the first one then lost.
+        kwargs = dict(
+            n_samples=300, config=FAST_CONFIG, seed=2, cache_dir=cache,
+            policies=("sequential",),
+        )
+        first = run_montecarlo([SMALL, SMALL], **kwargs)
+        [entry] = ResultStore(cache).entries()
+        assert entry.n_chunks == 2 and entry.complete
+        chunks = sorted((tmp_path / "mc").glob("*/chunks/chunk_*.npz"))
+        assert len(chunks) == 2
+        chunks[0].unlink()
+        [entry] = ResultStore(cache).entries()
+        assert not entry.complete
+        resumed = run_montecarlo([SMALL, SMALL], **kwargs)
+        [entry] = ResultStore(cache).entries()
+        assert entry.complete
+        assert resumed.per_sample == first.per_sample

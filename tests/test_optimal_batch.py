@@ -17,8 +17,8 @@ The contract under test (see ``repro.engine.optimal_batch``):
 
 Searches use reduced-capacity batteries (0.75x B1) and, for the discrete
 backend, a coarser ``T = Gamma = 0.05`` grid so the scalar reference stays
-fast; the parity contract is discretization-independent (the bound slack
-scales with the coarseness on both sides, see ``discrete_bound_slack_for``).
+fast; the parity contract is discretization-independent (both searches
+prune dKiBaM nodes with the same draw-budget bound).
 """
 
 import numpy as np
