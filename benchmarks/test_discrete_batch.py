@@ -3,8 +3,9 @@
 The discrete-time KiBaM (Section 2.3) has no closed form: the scalar
 golden-reference path walks every battery one 0.01-minute tick at a time in
 pure Python, which is why discrete columns used to be the slowest part of
-every campaign.  This harness measures the event-jumping batch dKiBaM
-(``model="discrete"``) against that scalar tick loop on the reference
+every campaign.  This harness measures the batch dKiBaM
+(``model="discrete"``, which steps each scenario segment by segment on the
+shared segment kernel) against that scalar tick loop on the reference
 Monte-Carlo sweep -- random ILs-like loads x 3 policies on 2 x B1 -- checks
 the exact tick-for-tick parity contract on the measured subset, and records
 both rates in ``BENCH_dkibam.json`` next to the other throughput records.
@@ -15,10 +16,12 @@ on shared runners are noisy, so the hard in-test gate sits at half the bar
 while ``scripts/check_bench.py`` tracks the recorded ratio against the
 committed baseline).
 
-A second harness times the optimal search's dKiBaM segment kernel
-(:func:`repro.engine.optimal_batch.discrete_segment_array`) against the
-per-tick scalar ``run_segment`` on one fixed lane batch taken from the
-certified ``ILs 250`` search, and records that search's wall time.
+A second harness times that dKiBaM segment kernel
+(:func:`repro.engine.kernels.discrete_segment_array`) against the per-tick
+scalar ``run_segment`` on one fixed lane batch taken from the certified
+``ILs 250`` search (recorded through the search's own binding,
+``optimal_batch.discrete_segment_array``), and records that search's wall
+time.
 """
 
 import time

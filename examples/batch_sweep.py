@@ -55,7 +55,7 @@ def main() -> None:
         policies=POLICIES,
         config=config,
         seed=args.seed,
-        engine="batch",
+        engine="auto",
         cache_dir=args.cache_dir,
     )
     sweep_seconds = time.perf_counter() - start

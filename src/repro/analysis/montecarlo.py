@@ -44,7 +44,7 @@ from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG, RandomLoadConfig
 from repro.workloads.load import Load
 
 #: Engines understood by :func:`run_montecarlo`.
-ENGINES = ("auto", "scalar", "batch")
+ENGINES = ("auto", "scalar")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,10 +178,11 @@ def run_montecarlo(
             loads with mixed currents.
         seed: base seed; sample ``i`` uses ``seed + i`` (ignored when
             ``loads`` is given).
-        engine: ``"batch"`` or ``"auto"`` run the sweep layer on the
+        engine: ``"auto"`` runs the sweep layer (the batch engine) on the
             vectorized models; ``"scalar"`` forces the golden-reference
             Python loop.  The result's ``engine`` field records the path
-            that actually executed (non-vectorized models run scalar).
+            that actually executed: ``"batch"`` or ``"scalar"``
+            (non-vectorized models run scalar).
         optimal_max_nodes: node cap per optimal search.
         loads: explicit sample loads, overriding the random sampling; the
             length overrides ``n_samples``.  Draw them from one stream with
@@ -199,7 +200,10 @@ def run_montecarlo(
             charge unit.
     """
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known engines: {ENGINES}")
+        raise ValueError(
+            f"unknown engine {engine!r}; known engines: {ENGINES} "
+            "('auto' runs the batch engine on the vectorized models)"
+        )
     for policy in policies:
         if not isinstance(policy, str):
             raise ValueError(

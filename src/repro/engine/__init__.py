@@ -33,7 +33,6 @@ from repro.engine.optimal_batch import (
     DecisionTrace,
     FrontierArrays,
     VectorDominanceArchive,
-    discrete_segment_array,
     find_optimal_schedule_batched,
     optimal_schedules_batch,
 )
@@ -41,6 +40,7 @@ from repro.engine.kernels import (
     DiscreteKernelParams,
     KernelParams,
     available_charge_array,
+    discrete_segment_array,
     empty_margin_array,
     initial_state_array,
     step_constant_current_array,

@@ -18,14 +18,12 @@ pins this).
 
 Two battery models run vectorized.  ``model="analytical"`` advances whole
 constant-current spans through the closed-form kernels.  ``model=
-"discrete"`` (the dKiBaM of Section 2.3) has no closed form -- the scalar
-reference walks it one tick at a time -- so the batch loop advances integer
-``(n, m)`` charge-unit arrays *event to event*: between draw, recovery and
-epoch events every counter moves linearly, so each iteration jumps every
-scenario straight to its own next event and replays that single tick
-exactly (recovery before discharge, the equation-(7) Bresenham draw
-accumulator per serving lane, emptiness checked per drawn unit).  Because
-the state is integers, the parity bar with the scalar dKiBaM is exact
+"discrete"`` (the dKiBaM of Section 2.3) steps *segment by segment* on
+:func:`repro.engine.kernels.discrete_segment_array`, the exact integer
+kernel the batched optimal search also runs: at each decision point the
+chosen battery serves the rest of its job in one kernel call, and idle
+spans take all their equation-(6) recovery steps at once.  Because the
+state is integers, the parity bar with the scalar dKiBaM tick loop is exact
 equality -- unit for unit, tick for tick -- not a float tolerance.
 Scenarios whose policy or battery model has no vectorized implementation
 transparently fall back to the scalar simulator, one scenario at a time.
@@ -43,10 +41,11 @@ from repro.core.policies import SchedulingPolicy
 from repro.core.simulator import MultiBatterySimulator
 from repro.engine.kernels import (
     DELTA,
-    DISCRETE_UNREACHABLE,
     GAMMA,
     DiscreteKernelParams,
     KernelParams,
+    _draws_to_empty,
+    discrete_segment_array,
     empty_margin_array,
     initial_state_array,
     step_constant_current_array,
@@ -284,6 +283,26 @@ class BatchSimulator:
             return make_vector_policy(policy)
         return None
 
+    @staticmethod
+    def _choose(policy: VectorPolicy, context: BatchDecisionContext) -> np.ndarray:
+        """The policy's battery per deciding lane, checked for validity."""
+        choice = np.asarray(policy.choose(context), dtype=np.int64)
+        count = context.lanes.size
+        if choice.shape != (count,):
+            raise ValueError(
+                f"policy {policy.name!r} returned shape {choice.shape}, "
+                f"expected ({count},)"
+            )
+        if np.any((choice < 0) | (choice >= context.n_batteries)):
+            raise ValueError(
+                f"policy {policy.name!r} chose a battery that does not exist"
+            )
+        if not np.all(context.alive[np.arange(count), choice]):
+            raise ValueError(
+                f"policy {policy.name!r} chose a battery that is already empty"
+            )
+        return choice
+
     def _run_vectorized(
         self,
         scenarios: ScenarioSet,
@@ -389,20 +408,7 @@ class BatchSimulator:
                     is_switchover=switchover[deciding],
                     previous_choice=prev_choice[deciding],
                 )
-                choice = np.asarray(policy.choose(context), dtype=np.int64)
-                if choice.shape != (deciding.size,):
-                    raise ValueError(
-                        f"policy {policy.name!r} returned shape {choice.shape}, "
-                        f"expected ({deciding.size},)"
-                    )
-                if np.any((choice < 0) | (choice >= n_bat)):
-                    raise ValueError(
-                        f"policy {policy.name!r} chose a battery that does not exist"
-                    )
-                if not np.all(alive[deciding_rows, choice]):
-                    raise ValueError(
-                        f"policy {policy.name!r} chose a battery that is already empty"
-                    )
+                choice = self._choose(policy, context)
                 decisions[deciding] += 1
                 c_chosen, k_chosen = kp_deciding.battery(choice)
                 crossing, crossed = time_to_empty_array(
@@ -480,279 +486,186 @@ class BatchSimulator:
         policy: VectorPolicy,
         lane_scenario: Optional[np.ndarray] = None,
     ) -> BatchResult:
-        """Event-jumping batch dKiBaM, exactly matching the scalar tick loop.
+        """Segment-stepping batch dKiBaM, exactly matching the scalar tick loop.
 
-        State per battery lane is the integer quadruple of
-        :class:`repro.kibam.discrete.DiscreteBatteryState` -- charge units
-        ``n``, height units ``m``, recovery tick counter, sticky empty flag
-        -- plus one equation-(7) draw accumulator per scenario (only the
-        serving battery accumulates; every other live battery is reset by
-        each idle tick, so the scenario-level accumulator with its
-        owner/rate tag reproduces the per-battery scalar rule exactly).
+        Every battery carries the integer state of
+        :func:`repro.engine.kernels.discrete_segment_array` -- charge units
+        ``n``, height units ``m``, recovery tick counter, draw accumulator
+        and the accumulator's rate -- plus a sticky empty flag, and only
+        that kernel advances it.  Each loop iteration takes every active
+        lane to its next decision point (entering a job epoch with ticks
+        left, or a mid-job switchover): the policy picks a battery, which
+        serves the rest of the job in one kernel call, up to its empty
+        tick; the lane's other live batteries idle for the span served.
 
-        Between events every counter advances linearly, so each loop
-        iteration (a) jumps every active scenario to one tick before its
-        own next event -- next unit draw, next equation-(6) recovery step,
-        or epoch end, whichever is sooner -- in O(1) and (b) replays that
-        event tick with the full scalar tick semantics: recovery first,
-        then the draw loop with per-unit emptiness checks, then epoch /
-        switchover bookkeeping.  Dead and exhausted scenarios leave the
-        active set immediately and cost nothing afterwards.  Lane ``l``
-        simulates scenario ``lane_scenario[l]``, reading that scenario's row
-        of the one shared epoch table.
+        Idle ticks are not applied at once but owed: a battery's owed ticks
+        are taken in one idle kernel call just before its lane's next
+        decision (or at the end), so an idle epoch costs no kernel call and
+        the idle span after a served job merges with the epochs that follow.
+        Idle ticks never change whether a battery is alive (they only lower
+        ``m``, and every emptying draw is observed and flagged), so the
+        death check after an emptying serve needs no settled state.  Lane
+        ``l`` simulates scenario ``lane_scenario[l]``, reading that
+        scenario's row of the one shared epoch table.
         """
         if lane_scenario is None:
             lane_scenario = np.arange(scenarios.n_scenarios)
         dkp = self._discrete_params()
-        n_scen = lane_scenario.shape[0]
+        n_lanes = lane_scenario.shape[0]
         n_bat = self.n_batteries
         dp = dkp.for_lanes(lane_scenario)
+        prefix = dkp.recovery_prefix
         darr = scenarios.discretized(dkp.time_step, dkp.charge_unit)
-        e_cur, e_ct, e_ticks = darr.cur, darr.cur_times, darr.ticks
-        currents = scenarios.currents
         n_epochs = scenarios.n_epochs[lane_scenario]
-        time_step = dkp.time_step
-        charge_unit = dkp.charge_unit
-        cp = dp.c_permille
-        q = 1000 - cp
-        tables = dp.tables
-        table_id = dp.table_id
-        BIG = DISCRETE_UNREACHABLE
 
-        # Battery lane state (all integers; empty lanes are frozen).
-        n = dp.total_units.copy()
-        m = np.zeros((n_scen, n_bat), dtype=np.int64)
-        recov = np.zeros((n_scen, n_bat), dtype=np.int64)
-        empty = np.zeros((n_scen, n_bat), dtype=bool)
+        # Battery state, one (lane, battery) plane per kernel state field.
+        state = np.zeros((6, n_lanes, n_bat), dtype=np.int64)
+        state[0] = dp.total_units
+        state[5] = 1
+        empty = np.zeros((n_lanes, n_bat), dtype=bool)
+        owed = np.zeros((n_lanes, n_bat), dtype=np.int64)
 
-        # Scenario control state.
-        epoch_idx = np.full(n_scen, -1, dtype=np.int64)
-        remaining = np.zeros(n_scen, dtype=np.int64)  # ticks left in epoch
-        cur_s = np.zeros(n_scen, dtype=np.int64)
-        ct_s = np.ones(n_scen, dtype=np.int64)
-        serving = np.full(n_scen, -1, dtype=np.int64)
-        # Draw accumulator: value, owning battery and the (cur, cur_times)
-        # rate it was built under (the scalar ``disch_rate`` tag).
-        acc = np.zeros(n_scen, dtype=np.int64)
-        acc_b = np.full(n_scen, -1, dtype=np.int64)
-        acc_cur = np.zeros(n_scen, dtype=np.int64)
-        acc_ct = np.ones(n_scen, dtype=np.int64)
-        time_t = np.zeros(n_scen, dtype=np.int64)
-        job_index = np.full(n_scen, -1, dtype=np.int64)
-        prev_choice = np.full(n_scen, -1, dtype=np.int64)
-        decisions = np.zeros(n_scen, dtype=np.int64)
-        lifetime_t = np.full(n_scen, -1, dtype=np.int64)
-        switchover = np.zeros(n_scen, dtype=bool)
-        need_decide = np.zeros(n_scen, dtype=bool)
-        active = np.ones(n_scen, dtype=bool)
+        # Lane control state.
+        epoch_idx = np.full(n_lanes, -1, dtype=np.int64)
+        remaining = np.zeros(n_lanes, dtype=np.int64)  # job ticks left
+        time_t = np.zeros(n_lanes, dtype=np.int64)
+        job_index = np.full(n_lanes, -1, dtype=np.int64)
+        prev_choice = np.full(n_lanes, -1, dtype=np.int64)
+        decisions = np.zeros(n_lanes, dtype=np.int64)
+        lifetime_t = np.full(n_lanes, -1, dtype=np.int64)
+        switchover = np.zeros(n_lanes, dtype=bool)
+        active = np.ones(n_lanes, dtype=bool)
 
-        policy.reset(n_scen, n_bat)
+        def advance(lanes, batteries, cur, cur_times, ticks):
+            """One kernel call on ``(lane, battery)`` pairs, in place."""
+            *advanced, empty_tick = discrete_segment_array(
+                dp.tables,
+                prefix,
+                dp.table_id[lanes, batteries],
+                dp.c_permille[lanes, batteries],
+                *state[:, lanes, batteries],
+                cur,
+                cur_times,
+                ticks,
+            )
+            state[:, lanes, batteries] = advanced
+            return empty_tick
+
+        def settle(lanes):
+            """Take the idle ticks the batteries of ``lanes`` owe."""
+            rows, batteries = np.nonzero(owed[lanes])
+            if rows.size:
+                lanes = lanes[rows]
+                idle = np.zeros(rows.size, dtype=np.int64)
+                advance(lanes, batteries, idle, idle + 1, owed[lanes, batteries])
+                owed[lanes, batteries] = 0
+
+        def alive(lanes):
+            n_units, m_units = state[0, lanes], state[1, lanes]
+            draws = _draws_to_empty(n_units, m_units, dp.c_permille[lanes])
+            return ~empty[lanes] & (draws > 0)
+
+        policy.reset(n_lanes, n_bat)
 
         act = np.flatnonzero(active)
         while act.size:
-            # ---- advance scenarios whose epoch is out of ticks.  Entering
-            # a job epoch with at least one tick schedules a decision; a
-            # zero-tick job epoch is skipped without one (the scalar
-            # ``while remaining > eps`` never runs), and entering an idle
-            # epoch resets the draw accumulator (the first idle tick would).
+            # ---- advance lanes whose epoch is out of ticks.  An idle epoch
+            # is owed by every live battery and passed at once; a zero-tick
+            # job epoch counts as a job but takes no decision (the scalar
+            # ``while remaining > eps`` never runs).
             while True:
                 adv = act[remaining[act] == 0]
                 if adv.size == 0:
                     break
                 epoch_idx[adv] += 1
                 exhausted = epoch_idx[adv] >= n_epochs[adv]
-                done = adv[exhausted]
-                active[done] = False  # survived the whole load
+                active[adv[exhausted]] = False  # survived the whole load
                 live = adv[~exhausted]
-                if live.size:
-                    rows, e = lane_scenario[live], epoch_idx[live]
-                    remaining[live] = e_ticks[rows, e]
-                    cur_s[live] = e_cur[rows, e]
-                    ct_s[live] = e_ct[rows, e]
-                    serving[live] = -1
-                    switchover[live] = False
-                    is_job = cur_s[live] > 0
-                    job_index[live[is_job]] += 1
-                    started = remaining[live] > 0
-                    need_decide[live] = is_job & started
-                    idle_started = live[(~is_job) & started]
-                    if idle_started.size:
-                        acc[idle_started] = 0
-                        acc_b[idle_started] = -1
-                        acc_cur[idle_started] = 0
-                        acc_ct[idle_started] = 1
-                if done.size:
+                rows, e = lane_scenario[live], epoch_idx[live]
+                ticks = darr.ticks[rows, e]
+                is_job = darr.cur[rows, e] > 0
+                job_index[live[is_job]] += 1
+                switchover[live] = False
+                remaining[live] = np.where(is_job, ticks, 0)
+                idle, ticks = live[~is_job], ticks[~is_job]
+                owed[idle] += np.where(empty[idle], 0, ticks[:, None])
+                time_t[idle] += ticks
+                if exhausted.any():
                     act = act[active[act]]
-            if act.size == 0:
-                break
 
-            # ---- scheduling decisions (job-epoch entry or switchover).
-            dec = act[need_decide[act]]
-            if dec.size:
-                crit = q[dec] * m[dec] >= cp[dec] * n[dec]
-                alive = ~empty[dec] & ~crit
-                any_alive = np.any(alive, axis=1)
-                dead = dec[~any_alive]
-                if dead.size:
-                    # A job arrived and no battery can serve it: the system
-                    # died the moment the previous span ended.
-                    lifetime_t[dead] = time_t[dead]
-                    active[dead] = False
-                    need_decide[dead] = False
-                    act = act[active[act]]
-                deciding = dec[any_alive]
-                if deciding.size:
-                    rows = np.flatnonzero(any_alive)
-                    # The scalar battery view computes
-                    # ``max(0, c * (n * Gamma - (1 - c) * (m * Delta)))``
-                    # in exactly this operation order.
-                    gamma = n[deciding] * charge_unit
-                    delta = m[deciding] * dp.height_unit[deciding]
-                    c_dec = dp.c[deciding]
-                    context = BatchDecisionContext(
-                        lanes=deciding,
-                        available_charge=np.maximum(
-                            0.0, c_dec * (gamma - (1.0 - c_dec) * delta)
-                        ),
-                        alive=alive[rows],
-                        current=currents[
-                            lane_scenario[deciding], epoch_idx[deciding]
-                        ],
-                        time=time_t[deciding] * time_step,
-                        job_index=job_index[deciding],
-                        is_switchover=switchover[deciding],
-                        previous_choice=prev_choice[deciding],
-                    )
-                    choice = np.asarray(policy.choose(context), dtype=np.int64)
-                    if choice.shape != (deciding.size,):
-                        raise ValueError(
-                            f"policy {policy.name!r} returned shape "
-                            f"{choice.shape}, expected ({deciding.size},)"
-                        )
-                    if np.any((choice < 0) | (choice >= n_bat)):
-                        raise ValueError(
-                            f"policy {policy.name!r} chose a battery that does not exist"
-                        )
-                    if not np.all(alive[rows, choice]):
-                        raise ValueError(
-                            f"policy {policy.name!r} chose a battery that is already empty"
-                        )
-                    decisions[deciding] += 1
-                    serving[deciding] = choice
-                    prev_choice[deciding] = choice
-                    # The accumulator persists only when the same battery
-                    # keeps serving at the same rate with no idle tick in
-                    # between; any other transition restarts it (scalar
-                    # ``disch_rate`` reset rule).
-                    stale = (
-                        (acc_b[deciding] != choice)
-                        | (acc_cur[deciding] != cur_s[deciding])
-                        | (acc_ct[deciding] != ct_s[deciding])
-                    )
-                    acc[deciding[stale]] = 0
-                    acc_b[deciding] = choice
-                    acc_cur[deciding] = cur_s[deciding]
-                    acc_ct[deciding] = ct_s[deciding]
-                    need_decide[deciding] = False
-            if act.size == 0:
+            # ---- decisions: every active lane is at one now.
+            settle(act)
+            usable = alive(act)
+            any_alive = usable.any(axis=1)
+            dead = act[~any_alive]
+            # A job arrived and no battery can serve it: the system died the
+            # moment the previous span ended.
+            lifetime_t[dead] = time_t[dead]
+            active[dead] = False
+            deciding = act[any_alive]
+            if deciding.size == 0:
                 break
-
-            # ---- jump every scenario to one tick before its next event.
-            recov_act = recov[act]
-            m_act = m[act]
-            live_rec = ~empty[act] & (m_act > 1)
-            steps = tables[table_id[act], m_act]
-            # A draw can raise m into a *shorter* equation-(6) step than the
-            # ticks already accumulated; the scalar counter then fires on
-            # the very next tick, so the distance is clamped at one.
-            dt_rec = np.where(
-                live_rec, np.maximum(steps - recov_act, 1), BIG
-            ).min(axis=1)
-            srv = serving[act]
-            is_srv = srv >= 0
-            cta = ct_s[act]
-            cura = cur_s[act]
-            acc_act = acc[act]
-            dt_draw = np.where(
-                is_srv, -((acc_act - cta) // np.maximum(cura, 1)), BIG
+            usable = usable[any_alive]
+            # The scalar battery view computes
+            # ``max(0, c * (n * Gamma - (1 - c) * (m * Delta)))`` in exactly
+            # this operation order.
+            gamma = state[0, deciding] * dkp.charge_unit
+            delta = state[1, deciding] * dp.height_unit[deciding]
+            c_dec = dp.c[deciding]
+            choice = self._choose(
+                policy,
+                BatchDecisionContext(
+                    lanes=deciding,
+                    available_charge=np.maximum(
+                        0.0, c_dec * (gamma - (1.0 - c_dec) * delta)
+                    ),
+                    alive=usable,
+                    current=scenarios.currents[
+                        lane_scenario[deciding], epoch_idx[deciding]
+                    ],
+                    time=time_t[deciding] * dkp.time_step,
+                    job_index=job_index[deciding],
+                    is_switchover=switchover[deciding],
+                    previous_choice=prev_choice[deciding],
+                ),
             )
-            k = np.minimum(np.minimum(remaining[act], dt_rec), dt_draw)
+            decisions[deciding] += 1
+            prev_choice[deciding] = choice
 
-            # ---- advance k ticks at once: the k-1 quiet ticks move every
-            # counter linearly, and the k-th tick is the event tick with the
-            # scalar tick's exact semantics.  Recovery first: every live
-            # lane above one height unit counts k ticks, and a lane
-            # reaching its equation-(6) step drops one unit (by the choice
-            # of k this can only happen on the event tick itself).
-            inc = recov_act + np.where(live_rec, k[:, None], 0)
-            rec_hit = live_rec & (inc >= steps)
-            m[act] = m_act - rec_hit
-            recov[act] = np.where(rec_hit, 0, inc)
-            acc_act = acc_act + np.where(is_srv, k * cura, 0)
-            acc[act] = acc_act
-            time_t[act] += k
-            remaining[act] -= k
+            # ---- the chosen battery serves the rest of the job, up to its
+            # empty tick; the lane's other live batteries owe that span.
+            rows, e = lane_scenario[deciding], epoch_idx[deciding]
+            empty_tick = advance(
+                deciding,
+                choice,
+                darr.cur[rows, e],
+                darr.cur_times[rows, e],
+                remaining[deciding],
+            )
+            emptied = empty_tick >= 0
+            span = np.where(emptied, empty_tick, remaining[deciding])
+            owed[deciding] += np.where(usable, span[:, None], 0)
+            owed[deciding, choice] = 0
+            time_t[deciding] += span
+            remaining[deciding] -= span
 
-            # Discharge: the serving lane's accumulator gains ``cur`` per
-            # tick; each time it reaches ``cur_times`` one unit moves from
-            # n to m, with the per-mille emptiness criterion checked per
-            # drawn unit.  Draws are events, so they land on the event tick.
-            sv = act[is_srv]
-            served_empty = np.zeros(sv.size, dtype=bool)
-            if sv.size:
-                bb = serving[sv]
-                todo = np.flatnonzero(acc_act[is_srv] >= cta[is_srv])
-                while todo.size:
-                    lanes = sv[todo]
-                    bsel = bb[todo]
-                    nn = n[lanes, bsel]
-                    mm = m[lanes, bsel]
-                    crit_now = q[lanes, bsel] * mm >= cp[lanes, bsel] * nn
-                    if crit_now.any():
-                        # Already empty at the draw instant (defensive, like
-                        # the scalar tick): observe, draw nothing further.
-                        empty[lanes[crit_now], bsel[crit_now]] = True
-                        served_empty[todo[crit_now]] = True
-                    drew = ~crit_now
-                    dl = lanes[drew]
-                    if dl.size == 0:
-                        break
-                    db = bsel[drew]
-                    n[dl, db] = nn[drew] - 1
-                    m[dl, db] = mm[drew] + 1
-                    acc[dl] -= ct_s[dl]
-                    crit_after = q[dl, db] * m[dl, db] >= cp[dl, db] * n[dl, db]
-                    if crit_after.any():
-                        empty[dl[crit_after], db[crit_after]] = True
-                        served_empty[todo[drew][crit_after]] = True
-                    again = todo[drew][~crit_after]
-                    todo = again[acc[sv[again]] >= ct_s[sv[again]]]
+            # ---- a served battery observed empty: the system dies with it,
+            # or hands the rest of the job over (Section 4.3).
+            hit = deciding[emptied]
+            empty[hit, choice[emptied]] = True
+            died = ~alive(hit).any(axis=1)
+            lifetime_t[hit[died]] = time_t[hit[died]]
+            active[hit[died]] = False
+            handover = hit[~died]
+            switchover[handover[remaining[handover] > 0]] = True
+            act = act[active[act]]
 
-            # ---- post-tick: serving batteries observed empty this tick.
-            if served_empty.any():
-                hit = sv[served_empty]
-                crit_all = q[hit] * m[hit] >= cp[hit] * n[hit]
-                alive_after = ~empty[hit] & ~crit_all
-                died = ~np.any(alive_after, axis=1)
-                dead = hit[died]
-                serving[hit] = -1
-                if dead.size:
-                    lifetime_t[dead] = time_t[dead]
-                    active[dead] = False
-                surv = hit[~died]
-                if surv.size:
-                    # Mid-job handover (Section 4.3): decide again before
-                    # the next tick if the job has ticks left.
-                    cont = surv[remaining[surv] > 0]
-                    need_decide[cont] = True
-                    switchover[cont] = True
-                if dead.size:
-                    act = act[active[act]]
-
-        gamma = n * charge_unit
+        settle(np.arange(n_lanes))
+        n, m = state[0], state[1]
+        gamma = n * dkp.charge_unit
         delta = m * dp.height_unit
         survived = lifetime_t < 0
-        lifetimes = np.where(survived, np.nan, lifetime_t * time_step)
+        lifetimes = np.where(survived, np.nan, lifetime_t * dkp.time_step)
         return BatchResult(
             policy_name=policy.name,
             lifetimes=lifetimes,

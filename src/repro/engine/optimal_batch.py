@@ -12,7 +12,8 @@ The search is split in two halves:
   :class:`_AnalyticalModel` (float ``(gamma, delta)`` states on the
   :mod:`repro.engine.kernels` closed forms, times in minutes) and
   :class:`_DiscreteModel` (the exact integer dKiBaM of
-  :func:`discrete_segment_array`, the lane-parallel, closed-form version of
+  :func:`repro.engine.kernels.discrete_segment_array`, the lane-parallel,
+  closed-form version of
   :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`, times in ticks:
   idle batteries take all recovery steps of a segment in one table lookup,
   serving batteries one recovery step per kernel iteration).
@@ -99,7 +100,9 @@ from repro.engine.kernels import (
     DELTA,
     GAMMA,
     KernelParams,
+    _draws_to_empty,
     available_charge_array,
+    discrete_segment_array,
     empty_margin_array,
     initial_state_array,
     step_constant_current_array,
@@ -363,206 +366,6 @@ class VectorDominanceArchive:
     def admit(self, key, matrix: np.ndarray) -> bool:
         """Record a ``(n_batteries, n_components)`` state matrix; False when dominated."""
         return bool(self.admit_many(key, np.asarray(matrix)[None])[0])
-
-
-# --------------------------------------------------------------------- #
-# exact vectorized dKiBaM segment
-# --------------------------------------------------------------------- #
-#: Ticks a serving lane looks ahead, per kernel iteration, for its next
-#: equation-(6) recovery step; a lane with none in sight advances the whole
-#: window in closed form and looks again.
-_SERVE_WINDOW = 32
-_WINDOW_TICKS = np.arange(1, _SERVE_WINDOW + 1, dtype=np.int64)
-
-
-def _draws_to_empty(n, m, c_permille):
-    """Draws until equation (8) holds: ``<= 0`` when it already does.
-
-    The per-mille rule ``(1000 - c)·m >= c·n`` after ``d`` more draws
-    (``n - d``, ``m + d``) reads ``1000·d >= c·n - (1000 - c)·m``, so the
-    emptying draw is ``ceil((c·n - (1000 - c)·m) / 1000)``.  This is the
-    search's one statement of the emptiness rule (the kernel's draws and
-    :meth:`_DiscreteModel.alive`): a lane whose count is ``<= 0`` is
-    observed empty at its next draw instant and draws nothing.
-    """
-    return -(((1000 - c_permille) * m - c_permille * n) // 1000)
-
-
-def _recover_idle(tables, prefix, row, m, recov, ticks):
-    """``ticks`` idle ticks of equation-(6) recovery, every step at once.
-
-    The first step down from ``m`` fires after ``max(tables[row, m] -
-    recov, 1)`` ticks (a draw can raise ``m`` into a step shorter than the
-    counter already holds); each later step takes its full table entry, so
-    the height reached is one ``searchsorted`` over the stacked prefix sums
-    of :attr:`repro.engine.kernels.DiscreteKernelParams.recovery_prefix`.
-    Heights of one unit or less never recover and leave the counter as it
-    is.
-    """
-    live = m > 1
-    first = np.maximum(tables[row, m] - recov, 1)
-    m_out = m.copy()
-    recov_out = np.where(live, recov + ticks, recov)
-    fires = np.flatnonzero(live & (ticks >= first))
-    if fires.size:
-        r, top, first, ticks = row[fires], m[fires] - 1, first[fires], ticks[fires]
-        # Falling from m to height h takes first + P[m-1] - P[h] ticks; the
-        # lowest height h >= 1 within ``ticks`` is the first P[h] >= target.
-        target = np.maximum(prefix[r, top] + first - ticks, prefix[r, 0])
-        height = np.maximum(
-            np.searchsorted(prefix.ravel(), target) - r * prefix.shape[1], 1
-        )
-        used = first + prefix[r, top] - prefix[r, height]
-        m_out[fires] = height
-        recov_out[fires] = np.where(height > 1, ticks - used, 0)
-    return m_out, recov_out
-
-
-def discrete_segment_array(
-    tables: np.ndarray,
-    prefix: np.ndarray,
-    table_row: np.ndarray,
-    c_permille: np.ndarray,
-    n: np.ndarray,
-    m: np.ndarray,
-    recov: np.ndarray,
-    acc: np.ndarray,
-    rate_cur: np.ndarray,
-    rate_ct: np.ndarray,
-    cur: np.ndarray,
-    cur_times: np.ndarray,
-    ticks: np.ndarray,
-) -> Tuple[np.ndarray, ...]:
-    """Run one constant-current dKiBaM segment on a flat batch of lanes.
-
-    This is the lane-parallel, closed-form counterpart of
-    :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`: every lane is
-    one *independent* battery (unlike the batch simulator's scenario-coupled
-    loop) advancing ``ticks[i]`` ticks at the integer discharge rate
-    ``cur[i]`` units per ``cur_times[i]`` ticks (``cur == 0`` idles), with
-    the exact scalar semantics: recovery before discharge within a tick, the
-    Bresenham accumulator (restarted by the first idle tick or by a rate
-    change, the scalar ``disch_rate`` rule), and the per-mille emptiness
-    criterion per drawn unit (:func:`_draws_to_empty`).
-
-    * **Idle lanes** take every recovery step of the segment at once
-      (:func:`_recover_idle`).
-    * **Serving lanes** loop, but one iteration per equation-(6) recovery
-      step rather than per event.  Draw times do not depend on ``m`` (the
-      accumulator gains ``cur`` per tick), so the draws of the next
-      :data:`_SERVE_WINDOW` ticks are known in advance, and with them the
-      height each tick starts at and the first tick whose recovery counter
-      reaches its table step.  The quiet ticks before that tick are applied
-      in closed form -- their emptying draw, if any, directly -- and the
-      event tick replays the scalar order: recovery first, then its draws.
-
-    ``tables`` and ``prefix`` are a :class:`repro.engine.kernels.
-    DiscreteKernelParams`' ``tables`` and ``recovery_prefix``; ``table_row``
-    picks each lane's row.  All state arguments are 1-D ``int64`` arrays of
-    a common length and are not modified; returns the updated ``(n, m,
-    recov, acc, rate_cur, rate_ct)`` plus ``empty_tick`` -- the 1-based tick
-    at which a lane was observed empty, or ``-1`` (idle lanes and
-    survivors).  Lanes observed empty stop advancing at that tick, exactly
-    like the scalar segment.
-    """
-    n = n.copy()
-    m = m.copy()
-    recov = recov.copy()
-    acc = acc.copy()
-    rate_cur = rate_cur.copy()
-    rate_ct = rate_ct.copy()
-    ticks = np.asarray(ticks, dtype=np.int64)
-    empty_tick = np.full(n.shape[0], -1, dtype=np.int64)
-
-    started = ticks > 0
-    serving = (cur > 0) & started
-    idle = (cur == 0) & started
-    # The first idle tick resets the draw accumulator; the first serving
-    # tick restarts it when the rate changed (scalar ``disch_rate`` rule).
-    acc[idle] = 0
-    rate_cur[idle] = 0
-    rate_ct[idle] = 1
-    stale = serving & ((rate_cur != cur) | (rate_ct != cur_times))
-    acc[stale] = 0
-    rate_cur[serving] = cur[serving]
-    rate_ct[serving] = cur_times[serving]
-
-    lanes = np.flatnonzero(idle)
-    if lanes.size:
-        m[lanes], recov[lanes] = _recover_idle(
-            tables, prefix, table_row[lanes], m[lanes], recov[lanes], ticks[lanes]
-        )
-
-    # One row per quantity, one column per unfinished serving lane; finished
-    # lanes are written back and dropped, so each iteration works on the
-    # lanes still running.
-    lanes = np.flatnonzero(serving)
-    width = tables.shape[1]
-    work = np.stack(
-        [
-            n[lanes], m[lanes], recov[lanes], acc[lanes], ticks[lanes],
-            np.zeros(lanes.size, dtype=np.int64),
-            cur[lanes], cur_times[lanes], table_row[lanes] * width,
-            c_permille[lanes], lanes,
-        ]
-    )
-    flat_tables = tables.ravel()
-    while work.shape[1]:
-        n_, m_, rec, acc_, left, elapsed, cur_, ct, row_start, cp, lane = work
-        # Draws before window tick t (none before tick 1), hence the height
-        # each tick starts at; recovery counts only ticks starting above 1.
-        before = (acc_[:, None] + cur_[:, None] * (_WINDOW_TICKS - 1)) // ct[:, None]
-        before[:, 0] = 0
-        height = m_[:, None] + before
-        counting = height > 1
-        waiting = _SERVE_WINDOW - np.count_nonzero(counting, axis=1)
-        counter = rec[:, None] + np.maximum(_WINDOW_TICKS - waiting[:, None], 0)
-        steps = flat_tables.take(row_start[:, None] + np.minimum(height, width - 1))
-        fire = counting & (counter >= steps) & (_WINDOW_TICKS <= left[:, None])
-        event = fire.any(axis=1)
-        quiet = np.where(event, fire.argmax(axis=1), np.minimum(left, _SERVE_WINDOW))
-
-        # The quiet ticks only draw; a lane reaching its emptying draw
-        # among them stops at that draw's tick.
-        drawn = np.where(quiet > 0, (acc_ + cur_ * quiet) // ct, 0)
-        need = _draws_to_empty(n_, m_, cp)
-        fatal = np.maximum(need, 1)
-        emptied = drawn >= fatal
-        span = np.where(
-            emptied, np.maximum(-((acc_ - fatal * ct) // cur_), 1), quiet
-        )
-        done = np.where(emptied, np.maximum(need, 0), drawn)
-        n_ -= done
-        m_ += done
-        acc_ += cur_ * span - ct * done
-        rec += np.maximum(span - waiting, 0)
-
-        # The event tick: the recovery step, then that tick's draws.
-        event &= ~emptied
-        m_ -= event
-        rec *= ~event
-        acc_ += cur_ * event
-        span += event
-        need = _draws_to_empty(n_, m_, cp)
-        due = np.where(event, acc_ // ct, 0)
-        hit = due >= np.maximum(need, 1)
-        done = np.where(hit, np.maximum(need, 0), due)
-        n_ -= done
-        m_ += done
-        acc_ -= ct * done
-        emptied |= hit
-        elapsed += span
-        left -= span
-
-        finished = emptied | (left == 0)
-        if finished.any():
-            out = lane[finished]
-            n[out], m[out], recov[out], acc[out] = (
-                n_[finished], m_[finished], rec[finished], acc_[finished]
-            )
-            empty_tick[lane[emptied]] = elapsed[emptied]
-            work = work[:, ~finished]
-    return n, m, recov, acc, rate_cur, rate_ct, empty_tick
 
 
 # --------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ from repro.engine import (
     BatchSimulator,
     KernelParams,
     ScenarioSet,
+    VectorPolicy,
     VectorPolicyStack,
     available_charge_array,
     initial_state_array,
@@ -404,7 +405,7 @@ class TestMonteCarloEngines:
             seed=21,
         )
         scalar = run_montecarlo([SMALL, SMALL], engine="scalar", **kwargs)
-        batch = run_montecarlo([SMALL, SMALL], engine="batch", **kwargs)
+        batch = run_montecarlo([SMALL, SMALL], engine="auto", **kwargs)
         assert scalar.engine == "scalar" and batch.engine == "batch"
         for policy in kwargs["policies"]:
             for a, b in zip(scalar.per_sample[policy], batch.per_sample[policy]):
@@ -436,21 +437,21 @@ class TestMonteCarloEngines:
         scalar = run_montecarlo(
             [SMALL, SMALL], loads=stream_loads(), engine="scalar"
         )
-        batch = run_montecarlo([SMALL, SMALL], loads=stream_loads(), engine="batch")
+        batch = run_montecarlo([SMALL, SMALL], loads=stream_loads(), engine="auto")
         assert scalar.engine == "scalar" and batch.engine == "batch"
         for policy in scalar.per_sample:
             for a, b in zip(scalar.per_sample[policy], batch.per_sample[policy]):
                 assert b == pytest.approx(a, abs=1e-9)
 
     def test_engine_label_reports_executed_path(self):
-        # Requesting "batch" on a non-vectorizable model still works but
+        # Requesting "auto" on a non-vectorizable model still works but
         # runs through the scalar fallback -- and the label must say so.
         result = run_montecarlo(
             [SMALL, SMALL],
             n_samples=2,
             config=FAST_CONFIG,
             seed=6,
-            engine="batch",
+            engine="auto",
             model="linear",
         )
         assert result.engine == "scalar"
@@ -463,6 +464,9 @@ class TestMonteCarloEngines:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             run_montecarlo([SMALL], engine="warp")
+        # "batch" was a second spelling of "auto"; the error points there.
+        with pytest.raises(ValueError, match="'auto'"):
+            run_montecarlo([SMALL], engine="batch")
 
     def test_generator_rejects_seed_and_rng_together(self):
         with pytest.raises(ValueError):
@@ -638,6 +642,117 @@ class TestDiscreteBatch:
             assert np.array_equal(
                 stacked[policy].residual_charge, solo.residual_charge
             )
+
+    #: sha256 of the ``lifetime_ticks``, ``decisions`` and ``charge_units``
+    #: bytes of ``run_many`` over 256 ILs-like loads x the four vector
+    #: policies (policy order of ``ALL_POLICIES``), recorded with the
+    #: earlier event-jumping batch loop, which also matched the scalar
+    #: dKiBaM tick for tick.
+    PINNED_DIGESTS = {
+        "2xB1": "5e0884ddff86595f74412ae954d7ca6c09a0500007e6b55f78ec3116eaecadc0",
+        "B1+B1/2+B2@0.05": "e0aabd08a2fdd1bc4b9b77ba863c1f1dde4cc01d0972359cbc42e5b9845e1638",
+    }
+
+    @pytest.mark.parametrize("fleet", sorted(PINNED_DIGESTS))
+    def test_ils_like_digest_is_pinned(self, fleet):
+        import hashlib
+
+        from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
+
+        params, grid = {
+            "2xB1": ([B1, B1], 0.01),
+            "B1+B1/2+B2@0.05": ([B1, B1.scaled(0.5), B2], 0.05),
+        }[fleet]
+        loads = [generate_random_load(seed, ILS_LIKE_RANDOM_CONFIG) for seed in range(256)]
+        simulator = BatchSimulator(
+            params, model="discrete", time_step=grid, charge_unit=grid
+        )
+        results = simulator.run_many(ScenarioSet.from_loads(loads), ALL_POLICIES)
+        digest = hashlib.sha256()
+        for policy in ALL_POLICIES:
+            result = results[policy]
+            for array in (result.lifetime_ticks, result.decisions, result.charge_units):
+                digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == self.PINNED_DIGESTS[fleet]
+
+    def test_served_battery_emptying_on_the_last_tick_takes_no_switchover(self):
+        long_job = Load.from_segments("long", [(0.5, 100.0)])
+        solo = BatchSimulator([SMALL], model="discrete").run(
+            ScenarioSet.from_loads([long_job]), "sequential"
+        )
+        empty_tick = int(solo.lifetime_ticks[0])
+        assert empty_tick > 0
+
+        def load(job_ticks):
+            return Load(
+                name=f"job-{job_ticks}",
+                epochs=(
+                    job_epoch(0.5, job_ticks * 0.01),
+                    idle_epoch(1.0),
+                    job_epoch(0.5, 1.0),
+                ),
+            )
+
+        exact, longer = load(empty_tick), load(empty_tick + 1)
+        self.assert_tick_exact([SMALL, SMALL], [exact, longer], "sequential")
+        batch = BatchSimulator([SMALL, SMALL], model="discrete").run(
+            ScenarioSet.from_loads([exact, longer]), "sequential"
+        )
+        # Emptying on the job's last tick ends the job: the next decision is
+        # the next job's.  One tick more forces a mid-job switchover.
+        assert batch.decisions.tolist() == [2, 3]
+
+    def test_zero_tick_job_advances_job_index_without_a_decision(self):
+        class Recording(VectorPolicy):
+            name = "recording"
+
+            def __init__(self):
+                self.job_indices = []
+
+            def choose(self, context):
+                self.job_indices.extend(context.job_index.tolist())
+                return np.argmax(context.alive, axis=1)
+
+        # 1e-10 min is a positive duration that rounds to zero ticks.
+        load = Load(
+            name="blink",
+            epochs=(
+                job_epoch(0.25, 0.2),
+                job_epoch(0.5, 1e-10),
+                idle_epoch(0.5),
+                job_epoch(0.25, 0.2),
+            ),
+        )
+        self.assert_tick_exact([SMALL, SMALL], [load], "sequential")
+        policy = Recording()
+        batch = BatchSimulator([SMALL, SMALL], model="discrete").run(
+            ScenarioSet.from_loads([load]), policy
+        )
+        assert batch.decisions.tolist() == [2]
+        assert policy.job_indices == [0, 2]
+
+    def test_three_chunks_equal_one_pass_bitwise(self):
+        loads = [generate_random_load(500 + i, FAST_CONFIG) for i in range(30)]
+        scen = ScenarioSet.from_loads(loads)
+        sim = BatchSimulator([SMALL, SMALLER], model="discrete")
+        whole = sim.run_many(scen, ALL_POLICIES)
+        chunks = [sim.run_many(chunk, ALL_POLICIES) for chunk in scen.chunked(10)]
+        assert len(chunks) == 3
+        for policy in ALL_POLICIES:
+            for field in (
+                "lifetimes",
+                "lifetime_ticks",
+                "decisions",
+                "charge_units",
+                "residual_charge",
+                "final_states",
+            ):
+                joined = np.concatenate(
+                    [getattr(chunk[policy], field) for chunk in chunks]
+                )
+                assert np.array_equal(
+                    joined, getattr(whole[policy], field), equal_nan=True
+                ), (policy, field)
 
     def test_survivors_and_dead_lanes_coexist(self):
         dies = Load.from_segments("dies", [(0.5, 1000.0)])

@@ -1147,7 +1147,7 @@ class TestDiscreteSegmentKernel:
         assert (start - out[1]).max() >= 20
 
     def test_serving_segments_longer_than_the_window(self):
-        from repro.engine.optimal_batch import _SERVE_WINDOW
+        from repro.engine.kernels import _SERVE_WINDOW
 
         dp, models = self._setup(0.01, 0.01)
         lanes = []

@@ -505,7 +505,7 @@ class TestMonteCarloCache:
     def test_repeated_distribution_is_cache_hit(self, tmp_path):
         cache = str(tmp_path / "mc")
         kwargs = dict(
-            n_samples=25, seed=13, config=FAST_CONFIG, engine="batch",
+            n_samples=25, seed=13, config=FAST_CONFIG, engine="auto",
             cache_dir=cache,
         )
         first = run_montecarlo([SMALL, SMALL], **kwargs)
@@ -520,20 +520,20 @@ class TestMonteCarloCache:
     def test_cached_result_matches_direct_batch_run(self, tmp_path):
         cached = run_montecarlo(
             [SMALL, SMALL], n_samples=25, seed=13, config=FAST_CONFIG,
-            engine="batch", cache_dir=str(tmp_path / "mc"),
+            engine="auto", cache_dir=str(tmp_path / "mc"),
         )
         direct = run_montecarlo(
             [SMALL, SMALL], n_samples=25, seed=13, config=FAST_CONFIG,
-            engine="batch",
+            engine="auto",
         )
         assert cached.per_sample == direct.per_sample
 
     def test_explicit_loads_are_cacheable(self, tmp_path):
         loads = ScenarioSet.random(6, FAST_CONFIG, seed=21).loads
         cache = str(tmp_path / "mc")
-        first = run_montecarlo([SMALL, SMALL], loads=loads, engine="batch",
+        first = run_montecarlo([SMALL, SMALL], loads=loads, engine="auto",
                                cache_dir=cache)
-        second = run_montecarlo([SMALL, SMALL], loads=loads, engine="batch",
+        second = run_montecarlo([SMALL, SMALL], loads=loads, engine="auto",
                                 cache_dir=cache)
         assert second.per_sample == first.per_sample
 
@@ -885,7 +885,7 @@ class TestOptimalColumn:
             policies=("sequential", "optimal"),
             config=FAST_CONFIG,
             seed=7,
-            engine="batch",
+            engine="auto",
         )
         assert list(result.per_sample) == ["sequential", "optimal"]
         for optimal, sequential in zip(
@@ -898,7 +898,7 @@ class TestOptimalColumn:
             policies=("optimal", "sequential"),
             config=FAST_CONFIG,
             seed=7,
-            engine="batch",
+            engine="auto",
         )
         assert list(first.per_sample) == ["optimal", "sequential"]
         assert first.per_sample["optimal"] == result.per_sample["optimal"]
@@ -909,7 +909,7 @@ class TestOptimalColumn:
             policies=("sequential", "optimal"),
             config=FAST_CONFIG,
             seed=5,
-            engine="batch",
+            engine="auto",
             cache_dir=str(tmp_path / "store"),
         )
         cold = run_montecarlo([SMALL, SMALL], **kwargs)
@@ -928,7 +928,7 @@ class TestOptimalColumn:
             policies=("sequential", "optimal"),
             config=FAST_CONFIG,
             seed=3,
-            engine="batch",
+            engine="auto",
             optimal_max_nodes=10,
         )
         direct = run_montecarlo([SMALL, SMALL], **kwargs)
@@ -944,7 +944,7 @@ class TestOptimalColumn:
             policies=("sequential", "optimal"),
             config=FAST_CONFIG,
             seed=9,
-            engine="batch",
+            engine="auto",
         )
         scalar = run_montecarlo(
             [SMALL, SMALL],
