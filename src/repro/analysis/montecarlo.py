@@ -220,7 +220,7 @@ def run_montecarlo(
         batteries=(BatteryConfig(label="batteries", params=tuple(params)),),
         loads=(axis,),
         policies=tuple(policies),
-        backend=model,
+        model=model,
     )
     if spec.has_optimal:
         spec = spec.with_optimal(

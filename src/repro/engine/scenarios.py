@@ -132,23 +132,24 @@ class ScenarioSet:
         """
         # Padded epochs carry current 0.0 / duration 0.0, which convert to
         # the idle spec and zero ticks, so the whole padded arrays convert
-        # through their distinct values in one pass.
-        currents, cur_inverse = np.unique(self.currents, return_inverse=True)
+        # through their distinct values in one pass.  Each table gathers
+        # through a ``searchsorted`` index that is dropped before the next
+        # one is built, which keeps the peak near the output size.
+        currents = np.unique(self.currents)
         cur_map = np.empty(currents.shape[0], dtype=np.int64)
         ct_map = np.empty(currents.shape[0], dtype=np.int64)
         for index, current in enumerate(currents):
             spec = discharge_spec_for(float(current), time_step, charge_unit)
             cur_map[index], ct_map[index] = spec.cur, spec.cur_times
-        durations, dur_inverse = np.unique(self.durations, return_inverse=True)
+        durations = np.unique(self.durations)
         tick_map = np.array(
             [duration_ticks(float(d), time_step) for d in durations], dtype=np.int64
         )
-        shape = self.currents.shape
-        return DiscreteScenarioArrays(
-            cur=cur_map[cur_inverse].reshape(shape),
-            cur_times=ct_map[cur_inverse].reshape(shape),
-            ticks=tick_map[dur_inverse].reshape(shape),
-        )
+        where = np.searchsorted(currents, self.currents)
+        cur, cur_times = cur_map[where], ct_map[where]
+        del where
+        ticks = tick_map[np.searchsorted(durations, self.durations)]
+        return DiscreteScenarioArrays(cur=cur, cur_times=cur_times, ticks=ticks)
 
     def chunked(self, chunk_size: int) -> Iterator["ScenarioSet"]:
         """Split into consecutive chunks of at most ``chunk_size`` scenarios.

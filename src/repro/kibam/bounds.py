@@ -108,7 +108,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from repro.kibam.parameters import BatteryParameters
 
@@ -348,6 +347,19 @@ def build_pooled_job_table(
     )
 
 
+def _lambertw(*args, **kwargs):
+    """``scipy.special.lambertw``, imported on the first call.
+
+    SciPy is slow to import and ``import repro`` does not load it; the
+    first call rebinds this module global to SciPy's function.
+    """
+    global _lambertw
+    from scipy.special import lambertw
+
+    _lambertw = lambertw
+    return lambertw(*args, **kwargs)
+
+
 def _tail_crossings(
     table: PooledJobTable,
     kc: float,
@@ -398,7 +410,7 @@ def _tail_crossings(
     # The margin from the low end: q + I x + S e^{-kc x}.
     q = base + rise * (lo - t0) - flat
     ratio = q / rise
-    lambert = special.lambertw((sag * (-kc / rise)) * np.exp(kc * (ratio - lo))).real
+    lambert = _lambertw((sag * (-kc / rise)) * np.exp(kc * (ratio - lo))).real
     t = np.minimum(np.maximum(lo + (lambert / kc - ratio) + _TAIL_NUDGE, lo), hi)
     # Any time with a positive margin is at or past the first crossing, so
     # nudging up to one keeps the bound admissible, also where rounding put

@@ -25,9 +25,20 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from scipy.optimize import brentq
-
 Segment = Tuple[float, float]
+
+
+def _brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first call.
+
+    SciPy is slow to import and ``import repro`` does not load it; the
+    first call rebinds this module global to SciPy's function.
+    """
+    global _brentq
+    from scipy.optimize import brentq
+
+    _brentq = brentq
+    return brentq(*args, **kwargs)
 
 
 class DiffusionBattery:
@@ -96,7 +107,7 @@ class DiffusionBattery:
             return self.alpha - self._sigma(segments, t)
         if margin(horizon) > 0.0:
             raise RuntimeError("battery did not become exhausted within the horizon")
-        return float(brentq(margin, 0.0, horizon, xtol=1e-10))
+        return float(_brentq(margin, 0.0, horizon, xtol=1e-10))
 
     def lifetime_under_segments(self, segments: Sequence[Segment]) -> Optional[float]:
         """Lifetime under a piecewise-constant load, or ``None`` if it survives."""
@@ -115,5 +126,5 @@ class DiffusionBattery:
                 # sub-interval where the sign changes.
                 if margin(lo) <= 0.0:
                     return lo
-                return float(brentq(margin, lo, right, xtol=1e-10))
+                return float(_brentq(margin, lo, right, xtol=1e-10))
         return None

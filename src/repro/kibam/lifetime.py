@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from scipy.optimize import brentq
-
 from repro.kibam.analytical import (
     KibamState,
     initial_state,
@@ -25,6 +23,20 @@ from repro.kibam.parameters import BatteryParameters
 
 #: A load segment: (current in Ampere, duration in minutes).
 Segment = Tuple[float, float]
+
+
+def _brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first call.
+
+    SciPy is slow to import and ``import repro`` does not load it; the
+    first call rebinds this module global to SciPy's function, so later
+    calls reach it directly.
+    """
+    global _brentq
+    from scipy.optimize import brentq
+
+    _brentq = brentq
+    return brentq(*args, **kwargs)
 
 
 def _empty_margin(params: BatteryParameters, state: KibamState) -> float:
@@ -75,7 +87,7 @@ def time_to_empty(
         # Expand the bracket slightly; can only happen through floating
         # point noise when the crossing is exactly at ``upper``.
         upper = upper * (1.0 + 1e-12) + 1e-12
-    return float(brentq(margin_at, 0.0, upper, xtol=1e-12, rtol=1e-12))
+    return float(_brentq(margin_at, 0.0, upper, xtol=1e-12, rtol=1e-12))
 
 
 def lifetime_constant_current(params: BatteryParameters, current: float) -> float:

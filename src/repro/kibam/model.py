@@ -20,13 +20,25 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.kibam.analytical import KibamState
 from repro.kibam.parameters import BatteryParameters
 from repro.kibam.transformed import from_wells, to_wells
 
 CurrentFunction = Callable[[float], float]
+
+
+def _solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    SciPy is slow to import and ``import repro`` does not load it; the
+    first call rebinds this module global to SciPy's function.
+    """
+    global _solve_ivp
+    from scipy.integrate import solve_ivp
+
+    _solve_ivp = solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 class TwoWellKibam:
@@ -85,7 +97,7 @@ class TwoWellKibam:
         kwargs = {"rtol": self.rtol, "atol": self.atol}
         if max_step is not None:
             kwargs["max_step"] = max_step
-        solution = solve_ivp(self._rhs(current), (0.0, duration), y0, **kwargs)
+        solution = _solve_ivp(self._rhs(current), (0.0, duration), y0, **kwargs)
         if not solution.success:
             raise RuntimeError(f"ODE integration failed: {solution.message}")
         return float(solution.y[0, -1]), float(solution.y[1, -1])
@@ -117,7 +129,7 @@ class TwoWellKibam:
         empty_event.direction = -1  # type: ignore[attr-defined]
         y0 = np.array(self.initial_wells())
         horizon = self.params.capacity / current * 2.0 + 1.0
-        solution = solve_ivp(
+        solution = _solve_ivp(
             self._rhs(lambda _t: current),
             (0.0, horizon),
             y0,
@@ -140,7 +152,7 @@ class TwoWellKibam:
                 return y[0]
             empty_event.terminal = True  # type: ignore[attr-defined]
             empty_event.direction = -1  # type: ignore[attr-defined]
-            solution = solve_ivp(
+            solution = _solve_ivp(
                 self._rhs(lambda _t, value=current: value),
                 (0.0, duration),
                 np.array(wells),

@@ -8,7 +8,7 @@ path only) is simulated by a single
 :meth:`repro.engine.batch.BatchSimulator.run_many` call -- with
 per-scenario battery-parameter arrays whenever its chunks mix battery
 configurations, so a whole parameter grid advances as one vectorized batch,
-under either vectorized battery model (``spec.backend`` selects
+under either vectorized battery model (``spec.model`` selects
 ``"analytical"`` or the exact-integer ``"discrete"`` dKiBaM; the model is
 part of the spec hash, so the two never alias in the store) -- and its
 results are persisted chunk by chunk into the content-addressed
@@ -546,7 +546,7 @@ class SweepRunner:
             ]
             rows = [point.battery_params for point in pass_points]
             simulator = BatchSimulator(
-                rows[0] if shared else rows, model=spec.backend
+                rows[0] if shared else rows, model=spec.model
             )
             simulated = simulator.run_many(
                 ScenarioSet.from_loads([point.load for point in pass_points]),
@@ -619,7 +619,7 @@ class SweepRunner:
                 result = optimal_schedules_batch(
                     [point.load],
                     point.battery_params,
-                    model=spec.backend,
+                    model=spec.model,
                     max_nodes=spec.optimal_max_nodes,
                     dominance_tolerance=spec.optimal_dominance_tolerance,
                     seed_assignment=seed_assignment,

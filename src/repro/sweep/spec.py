@@ -13,9 +13,10 @@ re-runs and resume-after-interrupt possible.
 
 The hash covers everything that determines the numbers -- battery triples,
 load axes (including random seeds and generator arguments), policies,
-backend, chunk size and a schema version bumped whenever the expansion or
-storage semantics change.  It deliberately excludes the free-text ``name``
-and ``description``, so renaming a campaign does not orphan its results.
+battery model, chunk size and a schema version bumped whenever the
+expansion or storage semantics change.  It deliberately excludes the
+free-text ``name`` and ``description``, so renaming a campaign does not
+orphan its results.
 """
 
 from __future__ import annotations
@@ -421,11 +422,12 @@ class SweepSpec:
         batteries: battery configurations to sweep over.
         loads: load axes; their resolved loads are concatenated in order.
         policies: scheduling policy names evaluated on every scenario.
-        backend: battery model (``"analytical"`` and ``"discrete"`` both
+        model: battery model (``"analytical"`` and ``"discrete"`` both
             run vectorized; ``"linear"`` runs through the scalar fallback).
-            Part of the content hash, so analytical and discrete results of
-            an otherwise identical campaign never alias in the store;
-            :attr:`model` / :meth:`with_model` are the preferred spelling.
+            Part of the content hash (under the key ``"backend"``, which
+            existing store entries were hashed with), so analytical and
+            discrete results of an otherwise identical campaign never alias
+            in the store.
         chunk_size: scenarios per stored chunk (the resume granularity).
         description: free text shown by the CLI (not hashed).
     """
@@ -434,7 +436,7 @@ class SweepSpec:
     batteries: Tuple[BatteryConfig, ...]
     loads: Tuple[LoadAxis, ...]
     policies: Tuple[str, ...]
-    backend: str = "analytical"
+    model: str = "analytical"
     chunk_size: int = DEFAULT_CHUNK_SIZE
     description: str = ""
     optimal_max_nodes: Optional[int] = DEFAULT_OPTIMAL_MAX_NODES
@@ -473,11 +475,6 @@ class SweepSpec:
             raise ValueError("chunk_size must be at least 1")
 
     # -- battery model -------------------------------------------------- #
-    @property
-    def model(self) -> str:
-        """The battery model of this campaign (alias of :attr:`backend`)."""
-        return self.backend
-
     def with_model(self, model: str) -> "SweepSpec":
         """This campaign under another battery model.
 
@@ -485,9 +482,9 @@ class SweepSpec:
         ``table5.with_model("discrete")`` address different store entries
         and can never alias each other's results.
         """
-        if model == self.backend:
+        if model == self.model:
             return self
-        return dataclasses.replace(self, backend=model)
+        return dataclasses.replace(self, model=model)
 
     # -- the optimal-schedule column ------------------------------------ #
     @property
@@ -529,7 +526,7 @@ class SweepSpec:
             "batteries": [config.to_dict() for config in self.batteries],
             "loads": [axis.to_dict() for axis in self.loads],
             "policies": list(self.policies),
-            "backend": self.backend,
+            "backend": self.model,
             "chunk_size": self.chunk_size,
         }
         if self.has_optimal:
@@ -561,7 +558,7 @@ class SweepSpec:
             ),
             loads=tuple(LoadAxis.from_dict(entry) for entry in payload["loads"]),
             policies=tuple(str(policy) for policy in payload["policies"]),
-            backend=str(payload.get("backend", "analytical")),
+            model=str(payload.get("backend", "analytical")),
             chunk_size=int(payload.get("chunk_size", DEFAULT_CHUNK_SIZE)),
             description=str(payload.get("description", "")),
             optimal_max_nodes=None if max_nodes is None else int(max_nodes),

@@ -50,7 +50,7 @@ class StoreEntry:
 
     spec_hash: str
     name: str
-    backend: str
+    model: str
     policies: Sequence[str]
     n_scenarios: int
     n_chunks: int
@@ -219,7 +219,7 @@ class ResultStore:
             yield StoreEntry(
                 spec_hash=spec_hash,
                 name=manifest["spec"].get("name", ""),
-                backend=manifest["spec"].get("backend", "analytical"),
+                model=manifest["spec"].get("backend", "analytical"),
                 policies=list(manifest["spec"].get("policies", [])),
                 n_scenarios=int(manifest["n_scenarios"]),
                 n_chunks=n_chunks,

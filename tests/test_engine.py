@@ -181,6 +181,66 @@ class TestScenarioSet:
         assert [c.n_scenarios for c in chunks] == [2, 2, 1]
         assert chunks[2].loads[0].epochs == scen.loads[4].epochs
 
+    @staticmethod
+    def _discretized_by_inverse(scen, time_step=0.01, charge_unit=0.01):
+        """The earlier ``discretized``: gathers through ``np.unique``'s
+        full-size inverse indices."""
+        from repro.kibam.discrete import discharge_spec_for, duration_ticks
+
+        currents, cur_inverse = np.unique(scen.currents, return_inverse=True)
+        specs = [discharge_spec_for(float(c), time_step, charge_unit) for c in currents]
+        cur_map = np.array([spec.cur for spec in specs], dtype=np.int64)
+        ct_map = np.array([spec.cur_times for spec in specs], dtype=np.int64)
+        durations, dur_inverse = np.unique(scen.durations, return_inverse=True)
+        tick_map = np.array(
+            [duration_ticks(float(d), time_step) for d in durations], dtype=np.int64
+        )
+        shape = scen.currents.shape
+        return (
+            cur_map[cur_inverse].reshape(shape),
+            ct_map[cur_inverse].reshape(shape),
+            tick_map[dur_inverse].reshape(shape),
+        )
+
+    @pytest.mark.parametrize("loads", ["ils-like", "paper"])
+    def test_discretized_equals_the_inverse_gather_bitwise(self, loads):
+        from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
+        from repro.workloads.profiles import paper_loads
+
+        if loads == "paper":
+            scen = ScenarioSet.from_loads(list(paper_loads().values()))
+        else:
+            scen = ScenarioSet.from_loads(
+                [generate_random_load(seed, ILS_LIKE_RANDOM_CONFIG) for seed in range(256)]
+            )
+        for grid in (0.01, 0.05):
+            got = scen.discretized(grid, grid)
+            expected = self._discretized_by_inverse(scen, grid, grid)
+            for array, reference in zip((got.cur, got.cur_times, got.ticks), expected):
+                assert array.dtype == reference.dtype == np.int64
+                assert array.shape == reference.shape == scen.currents.shape
+                assert array.tobytes() == reference.tobytes()
+
+    def test_discretized_peak_stays_near_its_output(self):
+        """1024 ILs-like loads: the conversion holds at most half its
+        output size on top of it (the inverse gather held twice that)."""
+        import tracemalloc
+
+        from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
+
+        scen = ScenarioSet.from_loads(
+            [generate_random_load(seed, ILS_LIKE_RANDOM_CONFIG) for seed in range(1000, 2024)]
+        )
+        scen.discretized()
+        tracemalloc.start()
+        try:
+            out = scen.discretized()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output_bytes = out.cur.nbytes + out.cur_times.nbytes + out.ticks.nbytes
+        assert peak < 1.5 * output_bytes
+
     def test_subset(self):
         scen = ScenarioSet.random(4, FAST_CONFIG, seed=3)
         sub = scen.subset([2, 0])

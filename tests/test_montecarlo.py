@@ -104,7 +104,7 @@ class TestOnePath:
             batteries=(BatteryConfig(label="batteries", params=(SMALL, SMALL)),),
             loads=(loads_axis,),
             policies=policies,
-            backend=model,
+            model=model,
         )
 
     @pytest.mark.parametrize("model", ["analytical", "discrete"])

@@ -70,6 +70,71 @@ def small_optimal_spec(n_samples=4, **optimal_kwargs):
     return small_spec(n_samples=n_samples).with_optimal(**optimal_kwargs)
 
 
+def scipy_call_sites():
+    """One call of each call site that imports SciPy on first use.
+
+    Returns ``{site: (value, module)}``: what the call returned and whether
+    the SciPy module it imports was loaded right after it.  The sites run
+    in an order in which each one's module is new to a fresh interpreter
+    (``scipy.special`` ships with ``scipy.optimize``, so the bound goes
+    first).
+    """
+    from repro.engine.optimal_batch import _BoundEvaluator
+    from repro.kibam import bounds
+    from repro.kibam.analytical import initial_state, step_constant_current
+    from repro.kibam.diffusion import DiffusionBattery
+    from repro.kibam.lifetime import lifetime_constant_current
+    from repro.kibam.model import TwoWellKibam
+    from repro.workloads.profiles import paper_loads
+
+    def loaded(module):
+        return module in sys.modules
+
+    pooled = BatteryParameters(
+        capacity=2 * B1.capacity, c=B1.c, k_prime=B1.k_prime, name="pooled"
+    )
+    load = paper_loads()["ILs alt"]
+    # Job 18 of ILs alt: two unevenly drained batteries strand charge, so
+    # both rows reach the Lambert-W tail solve.
+    state = initial_state(pooled)
+    for epoch in load.epochs[:18]:
+        state = step_constant_current(pooled, state, epoch.current, epoch.duration)
+    table = bounds.build_pooled_job_table(
+        pooled,
+        np.array([epoch.current for epoch in load.epochs]),
+        np.array([epoch.duration for epoch in load.epochs]),
+        18,
+        0.0,
+        state.gamma,
+        state.delta,
+        _BoundEvaluator._segment_crossing,
+    )
+    y1_pool = pooled.c * (state.gamma - (1.0 - pooled.c) * state.delta)
+    share = np.array([[0.9, 0.1], [0.7, 0.3]])
+    refined = bounds.recovery_limited_refinements(
+        table,
+        pooled,
+        y1_pool * share,
+        (state.gamma - y1_pool) * share[:, ::-1],
+        np.ones((2, 2), dtype=bool),
+    )
+    assert np.all(refined < table.crossing)
+    sites = {"recovery_limited_refinements": (refined.tolist(), loaded("scipy.special"))}
+    sites["lifetime_constant_current"] = (
+        lifetime_constant_current(B1, 0.5),
+        loaded("scipy.optimize"),
+    )
+    sites["DiffusionBattery.lifetime_constant_current"] = (
+        DiffusionBattery(alpha=5.5, beta=0.6).lifetime_constant_current(0.5),
+        loaded("scipy.optimize"),
+    )
+    sites["TwoWellKibam.lifetime_constant_current"] = (
+        TwoWellKibam(B1).lifetime_constant_current(0.5),
+        loaded("scipy.integrate"),
+    )
+    return sites
+
+
 class TestSpecHash:
     def test_hash_is_stable_across_processes(self):
         """The content hash must not depend on the process that computes it."""
@@ -143,6 +208,36 @@ class TestSpecHash:
         spec = small_spec()
         changed = SweepSpec.from_dict({**spec.to_dict(), **mutation})
         assert changed.spec_hash() != spec.spec_hash()
+
+    #: Content hashes of every builtin spec under both models, recorded
+    #: while the model field was still named ``backend``.  The field is now
+    #: ``model``, but its JSON key stays ``"backend"``, so no store entry
+    #: changes address.  The optimal specs also hash
+    #: ``OPTIMAL_SEARCH_REVISION``: a revision bump must change theirs.
+    BUILTIN_HASHES = {
+        "fleet": ("7b6e545af125eba6", "cdd6c0e46171efb5"),
+        "fleet-8": ("20716f711034709b", "66de817814c17846"),
+        "ils-random": ("7026ac3d6a032e20", "260dec0a3f6053f4"),
+        "table5": ("fbfc76b071ded862", "ac040be192d1079d"),
+        "table5-optimal": ("f99e0dc200b0c781", "e14653bc42a6bd93"),
+        "table6": ("cea8f875fa1c82de", "ff8ca7ea3c9592c7"),
+    }
+
+    def test_builtin_spec_hashes_are_pinned(self):
+        from repro.sweep.builtin import builtin_specs
+
+        specs = builtin_specs()
+        assert sorted(specs) == sorted(self.BUILTIN_HASHES)
+        for name, spec in specs.items():
+            got = tuple(
+                spec.with_model(model).spec_hash()
+                for model in ("analytical", "discrete")
+            )
+            assert got == self.BUILTIN_HASHES[name], name
+            discrete = spec.with_model("discrete")
+            assert discrete.to_dict()["backend"] == discrete.model == "discrete"
+            assert SweepSpec.from_dict(discrete.to_dict()).model == "discrete"
+            assert not hasattr(spec, "backend")
 
     def test_hash_changes_with_battery_parameters(self):
         spec = small_spec()
@@ -684,6 +779,53 @@ class TestCli:
             check=True,
         )
         assert "table5" in result.stdout
+
+    def test_scipy_is_imported_on_first_use_only(self):
+        """``import repro`` and ``python -m repro sweep specs`` load no SciPy
+        module; each SciPy call site, used first in a fresh interpreter,
+        imports its module and returns what it returns here."""
+        code = "\n".join(
+            [
+                "import json, runpy, sys",
+                "def scipy_modules():",
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+                "import repro",
+                "report = {'import': scipy_modules()}",
+                "sys.argv = ['repro', 'sweep', 'specs']",
+                "try:",
+                "    runpy.run_module('repro', run_name='__main__', alter_sys=True)",
+                "except SystemExit as stop:",
+                "    report['exit'] = stop.code",
+                "report['cli'] = scipy_modules()",
+                "from tests.test_sweep import scipy_call_sites",
+                "report['sites'] = scipy_call_sites()",
+                "print(json.dumps(report))",
+            ]
+        )
+        env = dict(os.environ)
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(repo_root, "src"), repo_root]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=repo_root,
+            check=True,
+        )
+        assert "table5" in result.stdout
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["import"] == []
+        assert report["exit"] == 0
+        assert report["cli"] == []
+        expected = scipy_call_sites()
+        assert set(report["sites"]) == set(expected)
+        for site, (value, module_loaded) in report["sites"].items():
+            assert module_loaded, site
+            # Only the import moved, so the results are the same floats.
+            assert value == expected[site][0], site
 
 
 class TestOptimalColumn:
